@@ -9,6 +9,11 @@
 // least kMinJobs jobs are done, so the p90 latency has >= 10 samples
 // beyond it. Ground-state energies are checked afterwards against
 // in-process solves of the same specs, outside the timed stream.
+//
+// The traffic is synthetic, not observed: the group mix, the client count
+// and the parameter decks below were chosen to size the workload. How often
+// jobs repeat a sector or share an evolution (and so how often the
+// artifact cache and the batcher can help) is a property of this mix.
 #include <signal.h>
 #include <sys/prctl.h>
 #include <sys/wait.h>
@@ -49,8 +54,12 @@ namespace sv = gecos::serve;
 namespace fs = std::filesystem;
 
 constexpr int kClients = 4;
-constexpr double kPollS = 0.02;
-constexpr int kSetups = 5;
+/// Status-poll cadence: Client::wait's default, the one cadence the
+/// library's own client uses.
+constexpr double kPollS = 0.05;
+/// Daemon starts per run; setup_s is their median. A start takes about
+/// 2 ms, so many are cheap and keep the median steady.
+constexpr int kSetups = 15;
 constexpr std::size_t kMinJobs = 100;
 /// Hard stop for the stream: no group starts after kMaxStreamS, and jobs
 /// not terminal by kGiveUpS count as failed, so a run ends well inside its
@@ -77,7 +86,7 @@ gecos::HubbardParams ladder(std::size_t lx, double u) {
 
 enum class GroupKind { kSmallGround, kCheckpointedGround, kSweep, kSpectral };
 
-/// One block of groups: a 40 / 10 / 35 / 15 % mix (8 small
+/// One block of groups: a synthetic 40 / 10 / 35 / 15 % mix (8 small
 /// ground states, 2 checkpointed ground states, 7 sweeps, 3 spectral jobs)
 /// in one fixed interleaved order, so every block carries the same work in
 /// the same order and the queue behaves alike from seed to seed. The seed
@@ -653,8 +662,6 @@ void run_serve_mix(const Options& opt, RunResult& out) {
   }
   StreamResult base =
       run_stream(*daemon, groups, opt.trace ? opt.seconds / 2 : opt.seconds);
-  // The client side's peak, before the in-process reference solves.
-  const double client_peak_rss_mb = self_counters().peak_rss_mb;
   References refs;
   verify(base, out.tally, refs);
 
@@ -707,7 +714,7 @@ void run_serve_mix(const Options& opt, RunResult& out) {
     v.set("jobs_per_s", ok / sr.wall_s);
     v.set("job_latency_p50_s", median(latency));
     v.set("job_latency_p90_s", percentile(latency, 90.0));
-    v.set("peak_rss_mb", client_peak_rss_mb);
+    v.set("peak_rss_mb", sr.daemon.peak_rss_mb);  // gecosd's VmHWM
     return;
   }
   v.set("serve.queue_wait_s", median(queue_wait));

@@ -161,6 +161,19 @@ class TeleScope {
   tm::MetricsSnapshot before_{};
 };
 
+/// Cross-check of the forwarding operator, for requests timed with library
+/// metrics on: its apply count over a request must equal the library's own
+/// Counter::matvecs delta (LinearOperator::apply counts every logical
+/// matvec). `before` is the phase's library matvec total at the request's
+/// start. solver.self_s is request time minus the forwarded applies, so an
+/// operator that missed applies would inflate it; this gate catches that.
+/// True when metrics are off.
+bool matvecs_agree(const Phase& ph, std::uint64_t before,
+                   const TimedOperator& op) {
+  return !tm::metrics_enabled() ||
+         ph.tele.counter(tm::Counter::matvecs) - before == op.calls();
+}
+
 /// End-to-end metrics shared by the three workloads. A "job" here is one
 /// request: a solve or a quench window.
 void set_end_to_end(RunResult& out, const std::vector<double>& setup,
@@ -239,6 +252,7 @@ void run_ground_full(const Options& opt, RunResult& out) {
     const std::uint64_t start = now_ns();
     do {
       op->reset();
+      const std::uint64_t matvecs0 = ph.tele.counter(tm::Counter::matvecs);
       const gecos::LanczosResult* r = nullptr;
       Span s("lanczos.solve");
       {
@@ -251,7 +265,8 @@ void run_ground_full(const Options& opt, RunResult& out) {
       ph.applies += static_cast<double>(op->calls());
       ph.apply_s += op->busy_s();
       out.tally.record(
-          energy_gate(r->converged, r->eigenvalues[0], kGroundEnergy, 1e-10));
+          energy_gate(r->converged, r->eigenvalues[0], kGroundEnergy, 1e-10) &&
+          matvecs_agree(ph, matvecs0, *op));
       out.inputs["ground_energy"] = r->eigenvalues[0];
       out.inputs["iterations"] = static_cast<double>(r->iterations);
     } while (span_s(start, now_ns()) < seconds);
@@ -320,6 +335,7 @@ void run_sector_quench(const Options& opt, RunResult& out) {
     const std::uint64_t start = now_ns();
     do {
       op->reset();
+      const std::uint64_t matvecs0 = ph.tele.counter(tm::Counter::matvecs);
       Span w("quench.window");
       {
         TeleScope tele(ph);
@@ -336,7 +352,8 @@ void run_sector_quench(const Options& opt, RunResult& out) {
       ph.apply_s += op->busy_s();
       const double drift = std::abs(psi.expectation(*hs).real() - e0);
       max_drift = std::max(max_drift, drift);
-      out.tally.record(within(psi.norm(), n0, 1e-10) && drift <= 1e-8);
+      out.tally.record(within(psi.norm(), n0, 1e-10) && drift <= 1e-8 &&
+                       matvecs_agree(ph, matvecs0, *op));
     } while (keep_going(start, seconds, ph.request_s.size(), min_windows));
     return ph;
   };
