@@ -1444,20 +1444,14 @@ int main(int argc, char** argv) {
                    xdiff, xsteps);
       return 1;
     }
-    // Per-matvec traffic model of the sector apply: the fused diagonal
-    // pass streams x and read-modify-writes y (48 B/amplitude, one pass for
-    // all diagonal terms); each hop kernel reads x, its u32 target-table
-    // entry and read-modify-writes y (52 B/amplitude with tables, 48
-    // without). Krylov orthogonalization traffic is not modeled, so
-    // achieved_gbs is a lower bound on the true bandwidth. Sector vectors
-    // are small enough to live in cache (~1 MB at n = 20), so
-    // stream_fraction here can legitimately EXCEED 1: cache bandwidth
+    // Per-matvec traffic model of the sector apply (SectorOperator::
+    // apply_bytes: the row gather's offsets, entries, diagonal, x gathers
+    // and y read-modify-write). Krylov orthogonalization traffic is not
+    // modeled, so achieved_gbs is a lower bound on the true bandwidth.
+    // Sector vectors are small enough to live in cache (~1 MB at n = 20),
+    // so stream_fraction here can legitimately EXCEED 1: cache bandwidth
     // beats the DRAM triad roofline.
-    const double sdim = static_cast<double>(basis.dim());
-    const double matvec_bytes =
-        (hs.has_fused_diagonal() ? 48.0 * sdim : 0.0) +
-        (hs.has_hop_tables() ? 52.0 : 48.0) * sdim *
-            static_cast<double>(hs.num_hop_kernels());
+    const double matvec_bytes = static_cast<double>(hs.apply_bytes());
     const double step_bytes =
         matvec_bytes * static_cast<double>(s_matvecs);
     const double gbs = step_bytes / s_t.min / 1e9;

@@ -1,5 +1,7 @@
 #include "serve/artifact_cache.hpp"
 
+#include <functional>
+
 #include "io/xxhash.hpp"
 #include "serve/batch.hpp"
 #include "telemetry/telemetry.hpp"
@@ -18,17 +20,14 @@ std::uint64_t hash_payload(const PayloadWriter& w, std::uint64_t tag) {
   return xxh64(w.bytes().data(), w.bytes().size(), tag);
 }
 
-// Rough byte accounting per artifact type. Exactness is not needed — the
-// budget bounds idle memory, and these track the dominant allocations.
+// Rough byte accounting for a Hamiltonian sum: the budget bounds idle
+// memory, so tracking the dominant allocation is enough. Sector operators
+// report their own footprint (SectorOperator::memory_bytes).
 std::size_t scb_sum_bytes(const ScbSum& s) {
   return s.size() * (s.num_qubits() * sizeof(Scb) + 64);
 }
 
-std::size_t sector_op_bytes(const SectorOperator& op) {
-  // Hop tables dominate (4 B per kernel per rank); the shared config table
-  // (8 B per rank) is counted once even though it is registry-shared.
-  return op.dim() * (8 + 4 * op.num_hop_kernels()) + 4096;
-}
+const auto sector_op_bytes = std::mem_fn(&SectorOperator::memory_bytes);
 
 }  // namespace
 

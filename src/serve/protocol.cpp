@@ -1,5 +1,6 @@
 #include "serve/protocol.hpp"
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -38,8 +39,10 @@ std::vector<double> get_doubles(PayloadReader& r) {
   return v;
 }
 
-// Exact read/write loops over a blocking fd, EINTR-restarted. Return false
-// on EOF (read) / error instead of throwing so callers choose the message.
+// Exact read/write loops over a blocking socket, EINTR-restarted. Return
+// false on EOF (read) / error instead of throwing so callers choose the
+// message. Writes use MSG_NOSIGNAL: a peer that hung up is an EPIPE error
+// on this connection, not a SIGPIPE that kills the process.
 bool read_exact(int fd, unsigned char* buf, std::size_t n) {
   std::size_t done = 0;
   while (done < n) {
@@ -57,7 +60,7 @@ bool read_exact(int fd, unsigned char* buf, std::size_t n) {
 bool write_exact(int fd, const unsigned char* buf, std::size_t n) {
   std::size_t done = 0;
   while (done < n) {
-    const ssize_t k = ::write(fd, buf + done, n - done);
+    const ssize_t k = ::send(fd, buf + done, n - done, MSG_NOSIGNAL);
     if (k < 0) {
       if (errno == EINTR) continue;
       return false;

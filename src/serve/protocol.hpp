@@ -230,8 +230,9 @@ std::uint64_t job_key(const JobSpec& spec);
 /// Krylov pass.
 std::uint64_t evolution_key(const JobSpec& spec);
 
-/// Blocking exact write of a length-prefixed frame to a socket/pipe fd.
-/// Throws Error{protocol} on a short write or an oversized payload.
+/// Blocking exact write of a length-prefixed frame to a socket fd. Throws
+/// Error{protocol} on a short write, an oversized payload or a peer that
+/// hung up (EPIPE; never SIGPIPE).
 void write_frame(int fd, std::span<const unsigned char> payload);
 
 /// Blocking exact read of one length-prefixed frame. Throws

@@ -13,9 +13,9 @@
 // lane-accumulator and FMA-formula contract that guarantees it.
 #pragma once
 
+#include <cmath>
 #include <complex>
 #include <cstddef>
-#include <cstdint>
 
 #include "simd/simd.hpp"
 
@@ -24,13 +24,16 @@ namespace gecos::simd {
 /// The library-wide scalar type (same alias as linalg/blas1.hpp).
 using cplx = std::complex<double>;
 
-/// Sentinel in a hop-target table: no output for this rank (input not
-/// selected by the kernel's mask).
-inline constexpr std::uint32_t kHopSkip = 0xFFFFFFFFu;
-/// Hop-target sign flag: the amplitude picks up a factor -1.
-inline constexpr std::uint32_t kHopSignBit = 0x80000000u;
-/// Hop-target rank mask (low 31 bits of a table entry).
-inline constexpr std::uint32_t kHopRankMask = 0x7FFFFFFFu;
+/// Scalar complex product s * x with the exact rounding of the vector
+/// fmaddsub formula: re = fma(s.re, x.re, -(s.im * x.im)),
+/// im = fma(s.re, x.im, s.im * x.re). Used by every tail loop so tails
+/// match the wide lanes bitwise, and by the SectorOperator row gather.
+inline cplx cmul_fma(cplx s, cplx x) {
+  const double te = s.imag() * x.imag();
+  const double to = s.imag() * x.real();
+  return cplx(std::fma(s.real(), x.real(), -te),
+              std::fma(s.real(), x.imag(), to));
+}
 
 /// Function-pointer table of one dispatch tier. All lengths are in complex
 /// elements; distinct pointer arguments must not alias.
@@ -51,21 +54,12 @@ struct Kernels {
   /// y_i = a * x_i + b * y_i (the fused Chebyshev update).
   void (*axpby)(cplx* y, const cplx* x, std::size_t n, cplx a,
                 cplx b) = nullptr;
-  /// y_i += s * d_i * x_i (SectorOperator fused-diagonal pass).
-  void (*diag_mul_add)(cplx* y, const cplx* d, const cplx* x, std::size_t n,
-                       cplx s) = nullptr;
   /// x_i *= p_i (fused Trotter diagonal: precomputed phase table sweep).
   void (*phase_mul)(cplx* x, const cplx* p, std::size_t n) = nullptr;
   /// Two-stream pair rotation (c real): a_i' = c a_i + v b_i and
   /// b_i' = u a_i + c b_i — the exact TermExp 2x2 exponential block.
   void (*pair_rot)(cplx* a, cplx* b, std::size_t n, double c, cplx u,
                    cplx v) = nullptr;
-  /// Sector hop through a precomputed target table: for each i with
-  /// tgt_i != kHopSkip, y[tgt_i & kHopRankMask] += (+-base) * x_i, the sign
-  /// taken from kHopSignBit. The targets must be a permutation of their
-  /// subset (race-freedom is the caller's output-partitioning obligation).
-  void (*hop_scatter)(cplx* y, const cplx* x, const std::uint32_t* tgt,
-                      std::size_t n, cplx base) = nullptr;
 };
 
 /// One tier's table plus whether this binary compiled it (a tier can be

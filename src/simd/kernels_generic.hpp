@@ -20,22 +20,10 @@
 
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 
 #include "simd/kernels.hpp"
 
 namespace gecos::simd {
-
-/// Scalar complex product s * x with the exact rounding of the vector
-/// fmaddsub formula: re = fma(s.re, x.re, -(s.im * x.im)),
-/// im = fma(s.re, x.im, s.im * x.re). Used by every tail loop (and by the
-/// per-tier hop_scatter body) so tails match the wide lanes bitwise.
-inline cplx cmul_fma(cplx s, cplx x) {
-  const double te = s.imag() * x.imag();
-  const double to = s.imag() * x.real();
-  return cplx(std::fma(s.real(), x.real(), -te),
-              std::fma(s.real(), x.imag(), to));
-}
 
 /// Kernel bodies over one Pack type; P::width is the number of complex
 /// elements per register (1 / 2 / 4).
@@ -162,26 +150,6 @@ struct Impl {
     }
   }
 
-  /// diag_mul_add kernel (see Kernels::diag_mul_add).
-  static void diag_mul_add(cplx* y, const cplx* d, const cplx* x,
-                           std::size_t n, cplx s) {
-    double* py = reinterpret_cast<double*>(y);
-    const double* pd = reinterpret_cast<const double*>(d);
-    const double* px = reinterpret_cast<const double*>(x);
-    const typename P::V sr = P::broadcast(s.real());
-    const typename P::V si = P::broadcast(s.imag());
-    const std::size_t main = n - n % kW;
-    for (std::size_t i = 0; i < main; i += kW) {
-      const typename P::V t =
-          cmul_elem(P::load(pd + 2 * i), P::load(px + 2 * i));
-      P::store(py + 2 * i, P::add(P::load(py + 2 * i), cmul(sr, si, t)));
-    }
-    for (std::size_t i = main; i < n; ++i) {
-      const cplx t = cmul_fma(s, cmul_fma(d[i], x[i]));
-      y[i] = cplx(y[i].real() + t.real(), y[i].imag() + t.imag());
-    }
-  }
-
   /// phase_mul kernel (see Kernels::phase_mul).
   static void phase_mul(cplx* x, const cplx* p, std::size_t n) {
     double* px = reinterpret_cast<double*>(x);
@@ -220,28 +188,10 @@ struct Impl {
     }
   }
 
-  /// hop_scatter kernel (see Kernels::hop_scatter). Scalar body in every
-  /// tier (the scattered writes defeat vector stores), but compiled with
-  /// the tier's ISA flags so the loads and the complex update use the
-  /// widest scalar forms available.
-  static void hop_scatter(cplx* y, const cplx* x, const std::uint32_t* tgt,
-                          std::size_t n, cplx base) {
-    const cplx nbase(-base.real(), -base.imag());
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t t = tgt[i];
-      if (t == kHopSkip) continue;
-      const cplx amp = (t & kHopSignBit) != 0 ? nbase : base;
-      const cplx add = cmul_fma(amp, x[i]);
-      cplx& out = y[t & kHopRankMask];
-      out = cplx(out.real() + add.real(), out.imag() + add.imag());
-    }
-  }
-
   /// The tier's dispatch table.
   static constexpr Kernels table() {
-    return Kernels{&norm2_lanes, &dot_lanes,    &scale,     &axpy,
-                   &axpby,       &diag_mul_add, &phase_mul, &pair_rot,
-                   &hop_scatter};
+    return Kernels{&norm2_lanes, &dot_lanes, &scale,    &axpy,
+                   &axpby,       &phase_mul, &pair_rot};
   }
 };
 

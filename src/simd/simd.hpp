@@ -1,7 +1,7 @@
 // Runtime-dispatched SIMD tier selection for the wide statevector kernels.
 //
 // The hot loops of the library (blas1 reductions and updates, TermKernel /
-// TermExp sweeps, SectorOperator matvecs) route their innermost contiguous
+// TermExp sweeps, fused Trotter passes) route their innermost contiguous
 // ranges through a table of function pointers (src/simd/kernels.hpp) chosen
 // at runtime from up to three tiers:
 //

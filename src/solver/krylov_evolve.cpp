@@ -89,7 +89,7 @@ std::size_t KrylovEvolver::build_and_solve(cplx z, std::span<const cplx> x,
       const double a = vec_dot(basis_.vec(j), w).real();
       alpha_[j] = a;
       vec_axpy(w, cplx(-a), basis_.vec(j));
-      // Full reorthogonalization: one classical GS pass over the whole
+      // Full reorthogonalization: one modified GS pass over the whole
       // prefix keeps the basis orthonormal to machine precision (the
       // three-term recurrence above already removed the O(1) components).
       basis_.project_out(w, j + 1, 1);

@@ -85,9 +85,9 @@ double Lanczos::extend(std::size_t j) const {
 
   switch (opts_.reorth) {
     case LanczosReorth::kFull:
-      // The local recurrence was the first Gram-Schmidt pass; one classical
-      // pass over the whole prefix restores machine-level orthogonality
-      // ("twice is enough").
+      // The local recurrence was the first Gram-Schmidt pass; one modified
+      // pass over the whole prefix (a vec_dot + vec_axpy per vector)
+      // restores machine-level orthogonality ("twice is enough").
       basis_.project_out(w, j + 1, 1);
       break;
     case LanczosReorth::kSelective: {

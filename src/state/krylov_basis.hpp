@@ -5,12 +5,12 @@
 // to the 2^n state being processed. A KrylovBasis owns all m vectors in ONE
 // 64-byte-aligned block (same allocator as StateVector, contiguous so
 // basis-wide sweeps stream linearly), hands out per-vector spans, and
-// implements the two batched primitives the solvers share: Gram-Schmidt
-// orthogonalization of a work vector against the stored prefix and linear
-// recombination (Ritz-vector recovery, exp(T) coefficient application). All
-// inner loops route through the parallel BLAS-1 kernels; nothing here
-// allocates after construction, which is what makes solver iterations
-// allocation-free after warm-up.
+// implements the two batched primitives the solvers share: modified
+// Gram-Schmidt orthogonalization of a work vector against the stored prefix
+// and linear recombination (Ritz-vector recovery, exp(T) coefficient
+// application). All inner loops route through the parallel BLAS-1 kernels;
+// nothing here allocates after construction, which is what makes solver
+// iterations allocation-free after warm-up.
 #pragma once
 
 #include <cstddef>
@@ -46,9 +46,10 @@ class KrylovBasis {
   std::span<cplx> vec(std::size_t j);
   std::span<const cplx> vec(std::size_t j) const;
 
-  /// Classical Gram-Schmidt: removes the components of slots [0, count)
-  /// from w, accumulating the removed coefficients into h (h[j] +=
-  /// <v_j|w>). `passes` >= 2 gives the classic "twice is enough"
+  /// Modified Gram-Schmidt: removes the components of slots [0, count)
+  /// from w one slot at a time (one vec_dot, then one vec_axpy against the
+  /// already-updated w), accumulating the removed coefficients into h
+  /// (h[j] += <v_j|w>). `passes` >= 2 gives the classic "twice is enough"
   /// re-orthogonalization; corrections from later passes are folded into h
   /// so h always holds the total removed component. w must not alias any
   /// slot.

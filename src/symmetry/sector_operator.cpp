@@ -3,22 +3,21 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <limits>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "ops/term.hpp"
 #include "simd/kernels.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/error.hpp"
 #include "util/parallel.hpp"
 
 namespace gecos {
 
 namespace {
-
-/// Upper bound on the total hop-target table size (bytes). Sectors beyond
-/// it fall back to the on-the-fly rank() path — correctness is identical,
-/// only the matvec constant differs.
-constexpr std::size_t kHopTableBudget = std::size_t{256} << 20;
 
 /// Rewrites one SCB word into the transition-canonical family: every X/Y
 /// factor branches into {s, s+} (X = s + s+, Y = i s+ - i s), all other
@@ -70,6 +69,11 @@ void SectorOperator::compile(const ScbSum& h) {
     throw std::invalid_argument("SectorOperator: empty operator sum");
   if (h.num_qubits() != basis_.n_qubits())
     throw std::invalid_argument("SectorOperator: qubit-count mismatch");
+  const std::size_t d = basis_.dim();
+  if (d > std::numeric_limits<std::uint32_t>::max())
+    throw Error(ErrorKind::dim_mismatch,
+                "SectorOperator: sector dimension " + std::to_string(d) +
+                    " exceeds the uint32 rank range of the row entries");
 
   // Transition-canonical rewrite (see the header comment): after this,
   // every word moves a definite particle count per species.
@@ -87,7 +91,7 @@ void SectorOperator::compile(const ScbSum& h) {
   // a nonzero species delta throws instead: loud beats wrong.
   const double tol = 1e-14;
   const auto species = basis_.species();
-  std::vector<SectorKernel> diagonal;
+  std::vector<TermKernel> diagonal, hops;
   for (const auto& [word, coeff] : canon.terms()) {
     if (std::abs(coeff) <= tol) continue;
     for (const SpeciesSector& s : species) {
@@ -102,31 +106,26 @@ void SectorOperator::compile(const ScbSum& h) {
             "SectorOperator: operator does not conserve a species particle "
             "number (nonzero sector-changing component)");
     }
-    const TermKernel tk(ScbTerm(coeff, word, false));
-    const SectorKernel k{tk.flip, tk.select_mask, tk.select_val, tk.sign_mask,
-                         tk.base};
-    (k.flip == 0 ? diagonal : kernels_).push_back(k);
+    TermKernel k(ScbTerm(coeff, word, false));
+    (k.flip == 0 ? diagonal : hops).push_back(std::move(k));
   }
-  num_diagonal_ = diagonal.size();
-  if (kernels_.empty() && diagonal.empty())
+  num_kernels_ = diagonal.size() + hops.size();
+  if (num_kernels_ == 0)
     throw std::invalid_argument(
         "SectorOperator: operator vanishes in canonical form");
   // Same instrumentation site as ScbSum's kernel rebuild: every surviving
   // canonical word cost one TermKernel mask compilation.
-  telemetry::count(telemetry::Counter::kernel_compiles,
-                   kernels_.size() + num_diagonal_);
+  telemetry::count(telemetry::Counter::kernel_compiles, num_kernels_);
 
   // Fetch the shared rank -> configuration table (one enumeration walk per
-  // sector process-wide; the hot loop only loads it) and fuse every
-  // diagonal word into one per-rank coefficient vector: U/mu-style terms
-  // then cost a single pass per apply instead of one sweep each.
-  const std::size_t d = basis_.dim();
+  // sector process-wide) and fuse every diagonal word into one per-rank
+  // coefficient, summed in word order.
   configs_ = shared_config_table(basis_);
   const std::uint64_t* const cfgs = configs_->data();
   if (!diagonal.empty()) {
     diag_.assign(d, cplx(0.0));
-    for (const SectorKernel& k : diagonal) {
-      parallel_for(d, [&](std::size_t lo, std::size_t hi, int) {
+    parallel_for(d, [&](std::size_t lo, std::size_t hi, int) {
+      for (const TermKernel& k : diagonal) {
         for (std::size_t r = lo; r < hi; ++r) {
           const std::uint64_t c = cfgs[r];
           if ((c & k.select_mask) == k.select_val) {
@@ -134,39 +133,76 @@ void SectorOperator::compile(const ScbSum& h) {
             diag_[r] += neg ? -k.base : k.base;
           }
         }
-      });
-    }
+      }
+    });
   }
 
-  // Hop-target tables: fold the selection test, the Jordan-Wigner sign and
-  // the rank(cfg ^ flip) lookup of every hop kernel into one uint32 per
-  // (kernel, rank), so apply_add streams through the table instead of
-  // re-deriving them per matvec. Rank and sign share 32 bits, so the table
-  // needs d small enough that rank | sign-bit cannot collide with the skip
-  // sentinel; larger sectors (or tables past the memory budget) keep the
-  // on-the-fly path.
-  if (!kernels_.empty() && d < std::size_t{0x7FFFFFFF} &&
-      kernels_.size() * d * sizeof(std::uint32_t) <= kHopTableBudget) {
-    hop_targets_.resize(kernels_.size() * d);
-    for (std::size_t j = 0; j < kernels_.size(); ++j) {
-      const SectorKernel& k = kernels_[j];
-      std::uint32_t* tgt = hop_targets_.data() + j * d;
-      parallel_for(d, [&](std::size_t lo, std::size_t hi, int) {
-        for (std::size_t r = lo; r < hi; ++r) {
-          const std::uint64_t cfg = cfgs[r];
-          if ((cfg & k.select_mask) != k.select_val) {
-            tgt[r] = simd::kHopSkip;
-            continue;
-          }
-          std::uint32_t t =
-              static_cast<std::uint32_t>(basis_.rank(cfg ^ k.flip));
-          if ((std::popcount(cfg & k.sign_mask) & 1) != 0)
-            t |= simd::kHopSignBit;
-          tgt[r] = t;
-        }
-      });
-    }
+  // Hop words as arrays. Word j moves a selected source s to s ^ flip_j, so
+  // it contributes to output row r exactly when the source cfg_r ^ flip_j
+  // passes its selection, i.e. when cfg_r & select_mask_j equals
+  // row_val_j = select_val_j ^ (flip_j & select_mask_j).
+  const std::size_t nh = hops.size();
+  std::vector<std::uint64_t> flip(nh), mask(nh), row_val(nh), sign(nh);
+  coeffs_.resize(2 * nh);
+  for (std::size_t j = 0; j < nh; ++j) {
+    const TermKernel& k = hops[j];
+    flip[j] = k.flip;
+    mask[j] = k.select_mask;
+    row_val[j] = k.select_val ^ (k.flip & k.select_mask);
+    sign[j] = k.sign_mask;
+    coeffs_[2 * j] = k.base;
+    coeffs_[2 * j + 1] = -k.base;
   }
+
+  // Two passes over the rows: a branch-free count (vectorizes over the
+  // words) sizes each row, then each row is filled in word order. The fill
+  // first lists the row's words branch-free, so the rank() calls that
+  // dominate the build do not sit behind an unpredictable branch.
+  row_start_.assign(d + 1, 0);
+  parallel_for(d, [&](std::size_t lo, std::size_t hi, int) {
+    for (std::size_t r = lo; r < hi; ++r) {
+      const std::uint64_t c = cfgs[r];
+      std::uint64_t n = 0;
+      for (std::size_t j = 0; j < nh; ++j) n += (c & mask[j]) == row_val[j];
+      row_start_[r + 1] = n;
+    }
+  });
+  for (std::size_t r = 0; r < d; ++r) row_start_[r + 1] += row_start_[r];
+  // Left uninitialized: the fill writes every entry, and its first touch
+  // then happens on the worker that owns the rows.
+  entries_ = std::make_unique_for_overwrite<Entry[]>(row_start_[d]);
+  parallel_for(d, [&](std::size_t lo, std::size_t hi, int) {
+    std::vector<std::uint32_t> hit(nh);
+    for (std::size_t r = lo; r < hi; ++r) {
+      const std::uint64_t c = cfgs[r];
+      std::size_t n = 0;
+      for (std::size_t j = 0; j < nh; ++j) {
+        hit[n] = static_cast<std::uint32_t>(j);
+        n += (c & mask[j]) == row_val[j];
+      }
+      Entry* const e = entries_.get() + row_start_[r];
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::uint32_t j = hit[i];
+        const std::uint64_t src = c ^ flip[j];
+        const auto neg =
+            static_cast<std::uint32_t>(std::popcount(src & sign[j]) & 1);
+        e[i] = {static_cast<std::uint32_t>(basis_.rank(src)), 2 * j + neg};
+      }
+    }
+  });
+}
+
+std::size_t SectorOperator::memory_bytes() const {
+  return row_start_.size() * sizeof(std::uint64_t) +
+         row_start_.back() * sizeof(Entry) +
+         (diag_.size() + coeffs_.size()) * sizeof(cplx) +
+         configs_->size() * sizeof(std::uint64_t);
+}
+
+std::uint64_t SectorOperator::apply_bytes() const {
+  const std::uint64_t row = 8 + 32 + (diag_.empty() ? 0 : 32);
+  return row * basis_.dim() +
+         (sizeof(Entry) + sizeof(cplx)) * row_start_.back();
 }
 
 void SectorOperator::apply_add(std::span<const cplx> x, std::span<cplx> y,
@@ -175,55 +211,30 @@ void SectorOperator::apply_add(std::span<const cplx> x, std::span<cplx> y,
          "SectorOperator::apply_add: x and y must not alias");
   assert(x.size() == basis_.dim() && y.size() == basis_.dim());
   const std::size_t d = basis_.dim();
-  const simd::Kernels& kn = simd::active();
   if (telemetry::metrics_enabled()) {
-    // Same traffic model as the bench roofline: 48 B/amplitude for the
-    // fused diagonal pass, 52 B/amplitude per table-driven hop kernel
-    // (48 B without tables).
-    const std::uint64_t d64 = d;
-    const std::uint64_t diag = diag_.empty() ? 0 : 1;
-    const std::uint64_t hops = kernels_.size();
-    const std::uint64_t hop_bytes = hop_targets_.empty() ? 48 : 52;
-    telemetry::count(telemetry::Counter::kernel_sweeps, diag + hops);
-    telemetry::count(telemetry::Counter::amplitudes_touched,
-                     (diag + hops) * d64);
-    telemetry::count(telemetry::Counter::bytes_moved,
-                     diag * 48 * d64 + hops * hop_bytes * d64);
+    telemetry::count(telemetry::Counter::kernel_sweeps);
+    telemetry::count(telemetry::Counter::amplitudes_touched, d);
+    telemetry::count(telemetry::Counter::bytes_moved, apply_bytes());
   }
-  // Fused diagonal first (rank-preserving: each chunk owns its y range),
-  // one wide elementwise pass through the dispatch layer.
-  if (!diag_.empty()) {
-    parallel_for(d, [&](std::size_t lo, std::size_t hi, int) {
-      kn.diag_mul_add(y.data() + lo, diag_.data() + lo, x.data() + lo,
-                      hi - lo, scale);
-    });
-  }
-  // Hop kernels, term order: x -> x ^ flip is a bijection on configurations
-  // and stays inside the sector (conservation), so the scattered writes of
-  // distinct input chunks never collide. With precomputed target tables the
-  // sweep is a pure gather/scatter (hop_scatter); without them it re-derives
-  // selection, sign and rank per state.
-  for (std::size_t j = 0; j < kernels_.size(); ++j) {
-    const SectorKernel& k = kernels_[j];
-    const cplx base = k.base * scale;
-    if (!hop_targets_.empty()) {
-      const std::uint32_t* tgt = hop_targets_.data() + j * d;
-      parallel_for(d, [&](std::size_t lo, std::size_t hi, int) {
-        kn.hop_scatter(y.data(), x.data() + lo, tgt + lo, hi - lo, base);
-      });
-      continue;
-    }
-    const std::uint64_t* const cfgs = configs_->data();
-    parallel_for(d, [&](std::size_t lo, std::size_t hi, int) {
-      for (std::size_t r = lo; r < hi; ++r) {
-        const std::uint64_t cfg = cfgs[r];
-        if ((cfg & k.select_mask) == k.select_val) {
-          const bool neg = (std::popcount(cfg & k.sign_mask) & 1) != 0;
-          y[basis_.rank(cfg ^ k.flip)] += (neg ? -base : base) * x[r];
-        }
+  // Row gather: y_r += scale * (d_r x_r + sum_e c[e] x[col_e]), entries in
+  // word order, each product in the SIMD tiers' cmul_fma rounding and every
+  // sum a plain add. Rows are disjoint per chunk, so any thread count gives
+  // the same bits.
+  const cplx* const xs = x.data();
+  const cplx* const diag = diag_.empty() ? nullptr : diag_.data();
+  parallel_for(d, [&](std::size_t lo, std::size_t hi, int) {
+    for (std::size_t r = lo; r < hi; ++r) {
+      cplx acc = diag != nullptr ? simd::cmul_fma(diag[r], xs[r]) : cplx(0.0);
+      const Entry* e = entries_.get() + row_start_[r];
+      const Entry* const end = entries_.get() + row_start_[r + 1];
+      for (; e != end; ++e) {
+        const cplx t = simd::cmul_fma(coeffs_[e->coeff], xs[e->col]);
+        acc = cplx(acc.real() + t.real(), acc.imag() + t.imag());
       }
-    });
-  }
+      const cplx t = simd::cmul_fma(scale, acc);
+      y[r] = cplx(y[r].real() + t.real(), y[r].imag() + t.imag());
+    }
+  });
 }
 
 }  // namespace gecos

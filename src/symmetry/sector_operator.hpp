@@ -20,22 +20,22 @@
 // identities like I = n + m split across words are rejected conservatively
 // — none of the builders in this repo produce such forms.)
 //
-// Each surviving word then compiles into a mask kernel (the
-// flip/select/sign decomposition of ops/term.hpp's TermKernel). All
-// *diagonal* kernels (no flips — the U and mu terms of a Hubbard
-// Hamiltonian) are folded into ONE precomputed per-rank diagonal vector at
-// construction, so they cost a single fused pass per apply instead of one
-// sweep each; every *hop* kernel moves each selected configuration to its
-// ranked image rank(x ^ flip), which conservation guarantees is in the
-// sector. The rank -> configuration table is also precomputed (8 bytes per
-// sector state), so the hot loop never walks the enumeration.
+// Each surviving word is a flip/select/sign mask kernel (ops/term.hpp's
+// TermKernel), and inside the sector a hop word (flip != 0) is a signed
+// partial permutation of the ranks. Construction compiles the whole sum to
+// one row-oriented sparse matrix: all *diagonal* words (the U and mu terms
+// of a Hubbard Hamiltonian) fuse into one per-rank coefficient d_r, and row
+// r lists, in word order, the source rank rank(cfg_r ^ flip) of every hop
+// word whose selection that source satisfies, each entry a uint32 rank plus
+// a uint32 index into the signed coefficient table {+base_j, -base_j}. The
+// n = 20 (5,5) Hubbard sector (dim 63,504, 60 hop words) stores 16.7 entries
+// per row, 10.5 MB in all with the diagonal and the config table; the
+// n = 32 (3,3) sector (dim 313,600, 96 hop words) 15.6 per row, 49 MB.
 //
-// apply_add parallelizes the diagonal pass and each hop kernel over
-// contiguous rank chunks of the input; a kernel's configuration map
-// x -> x ^ flip is a bijection, so no two chunks ever write the same output
-// rank (the library-wide output-partitioning rule) and results are
-// deterministic for any thread count. Nothing allocates after
-// construction. See DESIGN.md "Symmetry sectors".
+// apply_add is one parallel row gather, y_r += scale * (d_r x_r +
+// sum_e c[e] x[col_e]): each thread writes only its own output rows, so the
+// result is bitwise identical for any thread count, and nothing allocates
+// after construction. See DESIGN.md "Symmetry sectors".
 #pragma once
 
 #include <cstdint>
@@ -51,13 +51,16 @@
 
 namespace gecos {
 
-/// Matrix-free restriction of a number-conserving operator to a sector.
+/// Restriction of a number-conserving operator to a sector, compiled to a
+/// row-gather sparse matrix over sector ranks.
 class SectorOperator : public LinearOperator {
  public:
-  /// Compiles the sum's bare terms into sector kernels. Throws
+  /// Compiles the sum's bare terms into the sector rows. Throws
   /// std::invalid_argument when the sum is empty, its qubit count differs
   /// from the basis, or the transition-canonical conservation check finds a
-  /// word with a nonzero species particle-number change.
+  /// word with a nonzero species particle-number change; throws
+  /// Error{dim_mismatch} when the sector dimension exceeds the uint32 rank
+  /// range of the row entries.
   SectorOperator(SectorBasis basis, const ScbSum& h);
   /// Same, from a Pauli-string sum (each string is an SCB word already).
   SectorOperator(SectorBasis basis, const PauliSum& h);
@@ -68,20 +71,19 @@ class SectorOperator : public LinearOperator {
   std::size_t n_qubits() const override { return basis_.n_qubits(); }
   /// Sector dimension — the vector length apply_add works on (NOT 2^n).
   std::size_t dim() const override { return basis_.dim(); }
-  /// Surviving transition-canonical words: hop kernels plus the number of
-  /// diagonal words fused into the precomputed diagonal (X/Y factors branch
-  /// at construction and canceling branches merge away, so this can differ
-  /// from the input term count).
-  std::size_t num_kernels() const { return kernels_.size() + num_diagonal_; }
-  /// Hop (off-diagonal) kernels only — the per-apply sweeps after the fused
-  /// diagonal pass (used by the bench traffic model).
-  std::size_t num_hop_kernels() const { return kernels_.size(); }
-  /// True when a fused precomputed diagonal pass runs per apply.
-  bool has_fused_diagonal() const { return !diag_.empty(); }
-  /// True when the hop kernels run off precomputed rank-target tables
-  /// (rank, sign and selection folded into one uint32 per state — see the
-  /// compile() notes) instead of on-the-fly rank() lookups.
-  bool has_hop_tables() const { return !hop_targets_.empty(); }
+  /// Surviving transition-canonical words: hop words plus the diagonal words
+  /// fused into the per-rank diagonal (X/Y factors branch at construction
+  /// and canceling branches merge away, so this can differ from the input
+  /// term count).
+  std::size_t num_kernels() const { return num_kernels_; }
+  /// Bytes this operator holds: the row offsets, entries, fused diagonal,
+  /// coefficient table and the shared rank -> configuration table (counted
+  /// in full although equal sectors share it).
+  std::size_t memory_bytes() const;
+  /// Modelled traffic of one apply_add in bytes (a model, not a
+  /// measurement): per row the offset, the y read-modify-write and, with a
+  /// diagonal, d_r and x_r; per entry the entry and the x gather.
+  std::uint64_t apply_bytes() const;
   /// True when this operator and o hold the same shared rank -> config
   /// table (equal sectors, table still live when the later one compiled).
   /// Diagnostic for the cache tests and the serve artifact layer.
@@ -92,41 +94,31 @@ class SectorOperator : public LinearOperator {
   /// Two-argument accumulate and overwriting apply from the base class.
   using LinearOperator::apply_add;
   /// y += scale * (P H P) x over sector ranks (x.size() == dim(); x and y
-  /// distinct buffers, asserted). One parallel sweep per kernel,
-  /// allocation-free and deterministic for any thread count.
+  /// distinct buffers, asserted). One parallel row gather, allocation-free
+  /// and bitwise identical for any thread count.
   void apply_add(std::span<const cplx> x, std::span<cplx> y,
                  cplx scale) const override;
 
  private:
-  /// One transition-canonical hop word as sector masks (see ops/term.hpp
-  /// TermKernel for the flip/select/sign decomposition). Canonical words
-  /// have every flipped bit select-constrained, so no membership filtering
-  /// is ever needed at apply time.
-  struct SectorKernel {
-    std::uint64_t flip = 0;
-    std::uint64_t select_mask = 0;
-    std::uint64_t select_val = 0;
-    std::uint64_t sign_mask = 0;
-    cplx base;
+  /// One off-diagonal entry of a row: source rank and index into coeffs_.
+  struct Entry {
+    std::uint32_t col;
+    std::uint32_t coeff;
   };
 
   /// Shared constructor body: canonicalization + conservation check +
-  /// kernel compilation + config/diagonal table precomputation.
+  /// compilation of the diagonal and the rows.
   void compile(const ScbSum& h);
 
   SectorBasis basis_;
-  std::vector<SectorKernel> kernels_;        // hop kernels, term order
-  std::size_t num_diagonal_ = 0;             // words fused into diag_
+  std::size_t num_kernels_ = 0;
   // Shared rank -> configuration table from the process-wide registry
   // (symmetry/config_table.hpp): equal sectors share one table.
   std::shared_ptr<const ConfigTable> configs_;
-  std::vector<cplx> diag_;                   // fused diagonal (empty if none)
-  // Per-hop-kernel target tables (kernels_.size() * dim entries): entry r
-  // packs rank(cfg ^ flip), the (-1)^{pc(sign & cfg)} sign bit and the
-  // selection test into one uint32 (simd::kHopSkip when unselected), so the
-  // apply loop is a pure streaming gather/scatter with no rank() walk.
-  // Empty when the sector is too large for the table budget.
-  std::vector<std::uint32_t> hop_targets_;
+  std::vector<cplx> diag_;                // fused diagonal (empty if none)
+  std::vector<cplx> coeffs_;              // [2j] = +base_j, [2j+1] = -base_j
+  std::vector<std::uint64_t> row_start_;  // dim + 1 offsets into entries_
+  std::unique_ptr<Entry[]> entries_;      // rows in rank order, word order
 };
 
 }  // namespace gecos

@@ -2,7 +2,8 @@
 // type-checked key collision rule, LRU eviction under a byte budget with
 // pinned entries exempt, clear() semantics, and the three serve-layer
 // artifact builders (Hamiltonian ScbSum, compiled sector operator, compiled
-// observable) — including the headline warm-path property that a cache hit
+// observable) — including the byte charge of a sector operator (its own
+// memory_bytes()) and the headline warm-path property that a cache hit
 // skips kernel compilation and sector-table construction entirely
 // (telemetry deltas pinned at zero).
 #include <cmath>
@@ -173,6 +174,22 @@ int main() {
     // Same site, different kind: a distinct artifact.
     const ObservableSpec doublon{ObservableKind::kDoublon, 1, 0};
     CHECK(cached_observable(cache, p, 3, 3, doublon).get() != o1.get());
+  }
+
+  // -- a cached sector operator is charged exactly its own footprint --------
+  {
+    ArtifactCache cache(std::size_t{256} << 20);
+    const HubbardParams p = quick_lattice();
+    (void)cached_hubbard(cache, p);  // the Hamiltonian is its own entry
+    std::size_t before = cache.resident_bytes();
+    const auto op = cached_sector_op(cache, p, 3, 3);
+    CHECK_EQ(cache.resident_bytes() - before, op->memory_bytes());
+    // At least the config table, the row offsets and the fused diagonal.
+    CHECK(op->memory_bytes() > op->dim() * (8 + 8 + 16));
+    before = cache.resident_bytes();
+    const auto obs = cached_observable(cache, p, 3, 3,
+                                       {ObservableKind::kDoublon, 1, 0});
+    CHECK_EQ(cache.resident_bytes() - before, obs->memory_bytes());
   }
 
   // -- the warm path skips kernel compiles and sector-table builds ----------

@@ -2,14 +2,16 @@
 // P H P reference (embed -> full matrix-free apply -> project) on Hubbard
 // lattices and ad-hoc conserving sums, the per-term classification paths
 // (diagonal, hop, filtered XX+YY, statically dead), the symbolic
-// conservation rejection, PauliSum-vs-ScbSum construction agreement,
-// embed/project round trips, thread-count determinism, and the
-// zero-allocation pin on warm sector matvecs.
+// conservation rejection, the uint32 sector-dimension limit,
+// PauliSum-vs-ScbSum construction agreement, a molecular-like sum with many
+// distinct coefficients, embed/project round trips, bitwise thread-count
+// determinism, and the zero-allocation pin on warm sector matvecs.
 #include "alloc_probe.hpp"  // first: replaces global operator new
 // clang-format off
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <vector>
 // clang-format on
 
@@ -19,6 +21,7 @@
 #include "symmetry/sector_operator.hpp"
 #include "symmetry/sector_vector.hpp"
 #include "test_util.hpp"
+#include "util/error.hpp"
 #include "util/parallel.hpp"
 
 using namespace gecos;
@@ -82,6 +85,16 @@ int main() {
             1e-13);
   }
 
+  // -- many distinct coefficients: a seeded molecular-like two-body sum ------
+  {
+    // Complex one- and two-body coefficients, every one distinct, on the
+    // total-N sectors (the generator conserves N, not each spin).
+    const ScbSum mol = jw_sum(random_two_body(10, 20, 40, 7), 10);
+    for (std::size_t n : {std::size_t{3}, std::size_t{5}})
+      CHECK(sector_vs_full(SectorBasis::fixed_number(10, n), mol, 50 + n) <
+            1e-12);
+  }
+
   // -- conservation check rejects non-commuting operators --------------------
   {
     ScbSum bad(2);
@@ -108,6 +121,21 @@ int main() {
     // ...but accepted on the total-N sector of the same 4 qubits.
     const SectorOperator ok(SectorBasis::fixed_number(4, 2), flip);
     CHECK(ok.num_kernels() == 2);
+  }
+
+  // -- a sector past the uint32 rank range of the rows is refused up front ---
+  {
+    ScbSum h(40);
+    std::vector<Scb> word(40, Scb::I);
+    word[0] = Scb::N;
+    h.add(word, cplx(1.0));
+    bool threw = false;
+    try {
+      SectorOperator op(SectorBasis::fixed_number(40, 20), h);  // C(40,20)
+    } catch (const Error& e) {
+      threw = e.kind() == ErrorKind::dim_mismatch;
+    }
+    CHECK(threw);
   }
 
   // -- kernel classification: one diagonal + the hop pair of one "+ h.c." ----
@@ -177,7 +205,7 @@ int main() {
     CHECK_EQ(off, 0.0);
   }
 
-  // -- determinism across thread counts (dim 12870 > parallel grain) ---------
+  // -- bitwise determinism across thread counts (dim 12870 > parallel grain) -
   {
     const SectorBasis b = SectorBasis::fixed_number(16, 8);
     CHECK_EQ(b.dim(), std::size_t{12870});
@@ -198,16 +226,29 @@ int main() {
     }
     const SectorOperator hs(b, h);
     const SectorVector x = SectorVector::random(b, 41);
-    std::vector<cplx> y1(b.dim(), cplx(0.0)), y4(b.dim(), cplx(0.0));
+    const SectorVector y0 = SectorVector::random(b, 43);
+    const cplx s(0.3, -0.7);
+    // Overwriting apply and a scaled accumulate onto a nonzero y, at every
+    // thread count from 1 to 4: each thread owns its output rows, so the
+    // bits must not depend on how the rows are split.
+    std::vector<cplx> ref_apply, ref_add;
+    for (int t = 1; t <= 4; ++t) {
+      set_num_threads(t);
+      std::vector<cplx> ya(b.dim(), cplx(0.0));
+      hs.apply(x.amps(), ya);
+      std::vector<cplx> ys(y0.amps().begin(), y0.amps().end());
+      hs.apply_add(x.amps(), ys, s);
+      if (t == 1) {
+        ref_apply = ya;
+        ref_add = ys;
+        continue;
+      }
+      CHECK(std::memcmp(ya.data(), ref_apply.data(),
+                        ya.size() * sizeof(cplx)) == 0);
+      CHECK(std::memcmp(ys.data(), ref_add.data(),
+                        ys.size() * sizeof(cplx)) == 0);
+    }
     set_num_threads(1);
-    hs.apply_add(x.amps(), y1, cplx(1.0));
-    set_num_threads(4);
-    hs.apply_add(x.amps(), y4, cplx(1.0));
-    set_num_threads(1);
-    bool identical = true;
-    for (std::size_t i = 0; i < y1.size(); ++i)
-      if (y1[i] != y4[i]) identical = false;
-    CHECK(identical);  // bitwise: output partitioning, not just tolerance
 
     // -- allocation probe: warm sector matvecs allocate nothing --------------
     std::vector<cplx> z(b.dim(), cplx(0.0));

@@ -3,7 +3,8 @@
 // framed socket IO including truncation and oversize rejection, the error
 // frame round trip, and a live in-process Server + Client integration over
 // a real unix-domain socket (submit / status / fetch / cancel / stats /
-// error passthrough / version-mismatch handshake / shutdown).
+// error passthrough / version-mismatch handshake / a client that hangs up
+// before reading its hello reply / shutdown).
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -443,11 +444,8 @@ int main() {
     }
     serve_thread.join();
 
-    // Handshake version drift: hand-roll a hello with a bogus version and
-    // expect a version_mismatch error frame back.
-    Server server2(scheduler, sock);
-    std::thread serve2([&] { server2.serve(); });
-    {
+    // Raw clients: a connected socket and a hand-rolled hello frame.
+    const auto connect_raw = [&] {
       sockaddr_un addr{};
       addr.sun_family = AF_UNIX;
       std::memcpy(addr.sun_path, sock.c_str(), sock.size() + 1);
@@ -456,16 +454,41 @@ int main() {
       CHECK_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
                          sizeof(addr)),
                0);
+      return fd;
+    };
+    const auto send_hello = [](int fd, std::uint32_t version) {
       PayloadWriter w;
       w.put_u32(static_cast<std::uint32_t>(MsgType::kHello));
       w.put_string(std::string(kServeMagic, sizeof(kServeMagic)));
-      w.put_u32(kServeVersion + 7);
+      w.put_u32(version);
       write_frame(fd, w.bytes());
+    };
+
+    // Handshake version drift: a hello with a bogus version gets a
+    // version_mismatch error frame back.
+    Server server2(scheduler, sock);
+    std::thread serve2([&] { server2.serve(); });
+    {
+      const int fd = connect_raw();
+      send_hello(fd, kServeVersion + 7);
       const std::vector<unsigned char> reply = read_frame(fd);
       CHECK(throws_kind(ErrorKind::version_mismatch, [&] {
         (void)expect_reply(reply, MsgType::kHelloOk);
       }));
       ::close(fd);
+    }
+    // Early hang-up: a client sends hello and leaves without reading the
+    // reply. Shutting its read side first makes the daemon's reply meet a
+    // closed reader every time (EPIPE), whatever the thread timing. The
+    // daemon must drop that connection and keep serving: the next client's
+    // hello and stats complete.
+    {
+      const int fd = connect_raw();
+      CHECK_EQ(::shutdown(fd, SHUT_RD), 0);
+      send_hello(fd, kServeVersion);
+      ::close(fd);
+      Client client(sock);
+      CHECK_EQ(client.stats().submitted, 1u);
     }
     // Clean shutdown of the second server via a well-behaved client.
     {

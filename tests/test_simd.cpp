@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <numeric>
 #include <random>
 #include <stdexcept>
 #include <vector>
@@ -143,9 +142,6 @@ int main() {
           k.axpby(y, x, n, s1, s2);
         });
         elementwise([&](const simd::Kernels& k, cplx* y) {
-          k.diag_mul_add(y, ph.data() + o, x, n, s2);
-        });
-        elementwise([&](const simd::Kernels& k, cplx* y) {
           k.phase_mul(y, ph.data() + o, n);
         });
 
@@ -156,22 +152,6 @@ int main() {
           kn.pair_rot(a2.data() + o, b2.data() + o, n, 0.8, s1, s2);
           CHECK(same_bits(a1, a2));
           CHECK(same_bits(b1, b2));
-        }
-
-        // hop_scatter through a permutation table with skips and signs.
-        if (n > 0) {
-          std::vector<std::uint32_t> tgt(n);
-          std::iota(tgt.begin(), tgt.end(), 0u);
-          std::shuffle(tgt.begin(), tgt.end(), rng);
-          for (std::size_t i = 0; i < n; ++i) {
-            if (i % 3 == 0) tgt[i] = simd::kHopSkip;
-            else if (i % 5 == 0) tgt[i] |= simd::kHopSignBit;
-          }
-          std::vector<cplx> y1(ys.begin(), ys.begin() + n);
-          std::vector<cplx> y2 = y1;
-          ref.hop_scatter(y1.data(), x, tgt.data(), n, s1);
-          kn.hop_scatter(y2.data(), x, tgt.data(), n, s1);
-          CHECK(same_bits(y1, y2));
         }
       }
     }
