@@ -1,12 +1,9 @@
 #include "evolve/trotter.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
-#include <utility>
 
 #include "simd/kernels.hpp"
 #include "telemetry/telemetry.hpp"
@@ -19,45 +16,34 @@ namespace gecos {
 namespace {
 
 /// Runs shorter than 2^3 complex amplitudes are not worth the wide-kernel
-/// call; the scalar walk handles them.
+/// call; the block path (off-diagonal) or the scalar walk (diagonal)
+/// handles them.
 constexpr int kMinRunBits = 3;
 
-/// Batch-group caps: at most this many rotations share one traversal, their
-/// combined flip orbit stays within kMaxBatchFlipBits bits, and the full
-/// cell (flip orbit x contiguous run) stays within kMaxBatchCellBits bits
-/// (2^11 amplitudes = 32 KiB — L1-resident, which is where the intra-cell
-/// reuse that makes batching a bandwidth win comes from).
-constexpr std::size_t kMaxBatchMembers = 6;
-constexpr int kMaxBatchFlipBits = 8;
-constexpr int kMaxBatchCellBits = 11;
+/// A simd::BlockRot block: 8 aligned amplitudes, index bits 0-2.
+constexpr int kBlockBits = 3;
+constexpr std::uint64_t kBlockMask = (std::uint64_t{1} << kBlockBits) - 1;
 
-/// Upper bound on one fused diagonal group's table memory (angle + phase,
-/// 24 bytes per basis state). Groups past it stay unfused singles.
+/// Upper bound on the fused phase table's memory (angle + phase, 24 bytes
+/// per basis state). Past it the diagonal terms stay one sweep each.
 constexpr std::size_t kDiagTableBudget = std::size_t{512} << 20;
-
-/// Symbolic commutation tolerance: a Hermitian-part commutator with one-norm
-/// at or below this is operator zero (the symbolic algebra produces exact
-/// cancellations; the tolerance only absorbs coefficient rounding), so
-/// reordering the two exponentials leaves the product-formula step exactly
-/// unchanged.
-constexpr double kCommuteTol = 1e-12;
 
 }  // namespace
 
-TermExp::TermExp(const ScbTerm& term)
-    : kernel_(term), add_hc_(term.add_hc()) {
+TermExp::TermExp(const ScbTerm& term) : kernel_(term) {
   if (!term.is_valid_hamiltonian())
     throw std::invalid_argument("TermExp: term is not a valid Hamiltonian");
+  const bool add_hc = term.add_hc();
   diagonal_ = kernel_.flip == 0;
   // The h.c. partner state s ^ flip is itself selected exactly when no
   // flipped position carries an input constraint (i.e. no transition
   // factors); then A couples |s> <-> |s ^ flip> within the selected set.
-  pair_in_sel_ = (kernel_.flip & kernel_.select_mask) == 0;
+  const bool pair_in_sel = (kernel_.flip & kernel_.select_mask) == 0;
   if (diagonal_) {
     // H acts as d(s) = sgn(s) * d0 on selected states. Without h.c. the
     // validity check forces a real base; with h.c. the imaginary part
     // cancels against the conjugate term.
-    d0_ = add_hc_ ? 2.0 * kernel_.base.real() : kernel_.base.real();
+    d0_ = add_hc ? 2.0 * kernel_.base.real() : kernel_.base.real();
   } else {
     // On the pair (|s>, |s2 = s ^ flip>) the Hermitian block is
     // [[0, conj(h)], [h, 0]] with h(s) = <s2|H|s> = sgn(s) * h0:
@@ -68,60 +54,84 @@ TermExp::TermExp(const ScbTerm& term)
     //     h0 = base + (-1)^{pc(sign & flip)} * conj(base), because
     //     sgn(s2) = sgn(s) * (-1)^{pc(sign & flip)}.
     h0_ = kernel_.base;
-    if (add_hc_ && pair_in_sel_) {
+    if (add_hc && pair_in_sel) {
       const bool neg = std::popcount(kernel_.sign_mask & kernel_.flip) & 1;
       h0_ += neg ? -std::conj(kernel_.base) : std::conj(kernel_.base);
     }
   }
+
+  // The walk: one representative s per selected state (diagonal) or per
+  // coupled pair (off-diagonal). When the partner is itself selected, the
+  // lowest flip bit (a free bit, since no flipped position is constrained)
+  // is pinned to zero to halve the walk.
+  const std::uint64_t dim_mask = (std::uint64_t{1} << n_qubits()) - 1;
+  const std::uint64_t flip = kernel_.flip;
+  std::uint64_t free_mask = dim_mask & ~kernel_.select_mask;
+  if (!diagonal_ && pair_in_sel) free_mask &= ~(flip & (~flip + 1));
+  // Contiguous-run split: low free bits outside sign and flip give runs of
+  // adjacent states with constant phase or rotation data, whose streams s
+  // (and s ^ flip) advance through adjacent memory.
+  const std::uint64_t run_mask =
+      trailing_run_mask(free_mask & ~kernel_.sign_mask & ~flip);
+  if (std::popcount(run_mask) >= kMinRunBits) {
+    path_ = Path::runs;
+    run_bits_ = std::popcount(run_mask);
+    walk_mask_ = free_mask & ~run_mask;
+  } else if (diagonal_ || n_qubits() < kBlockBits) {
+    path_ = Path::walk;
+    walk_mask_ = free_mask;
+  } else {
+    // Block path: the walk enumerates first blocks A (block-index bits
+    // outside the selection). With a partner block B = A ^ (flip above the
+    // block) whose selected bits match A's, each unordered pair is visited
+    // once by pinning the lowest partner-offset bit of A to zero.
+    path_ = Path::blocks;
+    const std::uint64_t fhi = flip & ~kBlockMask;
+    const std::uint64_t pin =
+        (kernel_.select_mask & fhi) == 0 ? fhi & (~fhi + 1) : 0;
+    walk_mask_ = dim_mask & ~kBlockMask & ~kernel_.select_mask & ~pin;
+  }
 }
 
 void TermExp::apply(double t, std::span<cplx> x) const {
-  assert(std::has_single_bit(x.size()));
-  const std::uint64_t dim_mask = x.size() - 1;
-  if ((kernel_.select_val & ~dim_mask) != 0) return;  // nothing selected
+  if (x.size() != (std::size_t{1} << n_qubits()))
+    throw std::invalid_argument("TermExp::apply: size mismatch");
   const std::uint64_t select_val = kernel_.select_val;
   const std::uint64_t sign_mask = kernel_.sign_mask;
   const std::uint64_t flip = kernel_.flip;
+  const std::uint64_t walk = walk_mask_;
+  const std::size_t count = std::size_t{1} << std::popcount(walk);
+  const std::size_t run = std::size_t{1} << run_bits_;
+  const std::size_t run_grain =
+      std::max<std::size_t>(1, kParallelGrain >> run_bits_);
+  const simd::Kernels& kn = simd::active();
 
   if (diagonal_) {
     if (d0_ == 0.0) return;
     const cplx phase_pos = std::polar(1.0, -t * d0_);
     const cplx phase_neg = std::conj(phase_pos);
-    const std::uint64_t free_mask = dim_mask & ~kernel_.select_mask;
-
-    // Contiguous-run split (same structure as TermKernel::apply_add): low
-    // free bits outside sign_mask index runs of adjacent states with the
-    // same phase, so each run is one wide scale sweep.
-    const std::uint64_t run_mask = trailing_run_mask(free_mask & ~sign_mask);
-    const int run_bits = std::popcount(run_mask);
-    if (run_bits >= kMinRunBits) {
-      const std::size_t run = std::size_t{1} << run_bits;
-      const std::uint64_t outer_mask = free_mask & ~run_mask;
-      const std::size_t count = std::size_t{1} << std::popcount(outer_mask);
-      const simd::Kernels& kn = simd::active();
+    if (path_ == Path::runs) {
       parallel_for(
           count,
           [&](std::size_t i0, std::size_t i1, int) {
-            std::uint64_t sub = scatter_bits(i0, outer_mask);
+            std::uint64_t sub = scatter_bits(i0, walk);
             for (std::size_t i = i0; i < i1; ++i) {
               const std::uint64_t s = sub | select_val;
               kn.scale(x.data() + s, run,
                        (std::popcount(sign_mask & s) & 1) ? phase_neg
                                                           : phase_pos);
-              sub = (sub - outer_mask) & outer_mask;
+              sub = (sub - walk) & walk;
             }
           },
-          std::max<std::size_t>(1, kParallelGrain >> run_bits));
+          run_grain);
       return;
     }
-
-    const std::size_t count = std::size_t{1} << std::popcount(free_mask);
     parallel_for(count, [&](std::size_t i0, std::size_t i1, int) {
-      std::uint64_t sub = scatter_bits(i0, free_mask);
+      std::uint64_t sub = scatter_bits(i0, walk);
       for (std::size_t i = i0; i < i1; ++i) {
         const std::uint64_t s = sub | select_val;
         x[s] *= (std::popcount(sign_mask & s) & 1) ? phase_neg : phase_pos;
-        sub = (sub - free_mask) & free_mask;
+        sub = (sub - walk) & walk;
       }
     });
     return;
@@ -138,42 +148,30 @@ void TermExp::apply(double t, std::span<cplx> x) const {
   const cplx u = cplx(0.0, -sn) * unit;
   const cplx v = cplx(0.0, -sn) * std::conj(unit);
 
-  // Enumerate one representative s per coupled pair. When the partner is
-  // itself selected, halve the walk by pinning the lowest flip bit (a free
-  // bit, since no flipped position is constrained) to zero.
-  std::uint64_t free_mask = dim_mask & ~kernel_.select_mask;
-  if (pair_in_sel_) free_mask &= ~(flip & (~flip + 1));
-
-  // Contiguous-run split: low free bits outside sign and flip give runs
-  // with constant rotation data whose two streams s and s ^ flip both
-  // advance through adjacent memory — one wide pair_rot per run.
-  const std::uint64_t run_mask =
-      trailing_run_mask(free_mask & ~sign_mask & ~flip);
-  const int run_bits = std::popcount(run_mask);
-  if (run_bits >= kMinRunBits) {
-    const std::size_t run = std::size_t{1} << run_bits;
-    const std::uint64_t outer_mask = free_mask & ~run_mask;
-    const std::size_t count = std::size_t{1} << std::popcount(outer_mask);
-    const simd::Kernels& kn = simd::active();
-    parallel_for(
-        count,
-        [&](std::size_t i0, std::size_t i1, int) {
-          std::uint64_t sub = scatter_bits(i0, outer_mask);
-          for (std::size_t i = i0; i < i1; ++i) {
-            const std::uint64_t s = sub | select_val;
-            const bool neg = std::popcount(sign_mask & s) & 1;
-            kn.pair_rot(x.data() + s, x.data() + (s ^ flip), run, c,
-                        neg ? -u : u, neg ? -v : v);
-            sub = (sub - outer_mask) & outer_mask;
-          }
-        },
-        std::max<std::size_t>(1, kParallelGrain >> run_bits));
-    return;
+  switch (path_) {
+    case Path::runs:
+      parallel_for(
+          count,
+          [&](std::size_t i0, std::size_t i1, int) {
+            std::uint64_t sub = scatter_bits(i0, walk);
+            for (std::size_t i = i0; i < i1; ++i) {
+              const std::uint64_t s = sub | select_val;
+              const bool neg = std::popcount(sign_mask & s) & 1;
+              kn.pair_rot(x.data() + s, x.data() + (s ^ flip), run, c,
+                          neg ? -u : u, neg ? -v : v);
+              sub = (sub - walk) & walk;
+            }
+          },
+          run_grain);
+      return;
+    case Path::blocks:
+      apply_blocks(c, u, v, x);
+      return;
+    case Path::walk:
+      break;
   }
-
-  const std::size_t count = std::size_t{1} << std::popcount(free_mask);
   parallel_for(count, [&](std::size_t i0, std::size_t i1, int) {
-    std::uint64_t sub = scatter_bits(i0, free_mask);
+    std::uint64_t sub = scatter_bits(i0, walk);
     for (std::size_t i = i0; i < i1; ++i) {
       const std::uint64_t s = sub | select_val;
       const std::uint64_t s2 = s ^ flip;
@@ -186,9 +184,86 @@ void TermExp::apply(double t, std::span<cplx> x) const {
         x[s] = c * xs + v * xs2;
         x[s2] = u * xs + c * xs2;
       }
-      sub = (sub - free_mask) & free_mask;
+      sub = (sub - walk) & walk;
     }
   });
+}
+
+void TermExp::apply_blocks(double c, cplx u, cplx v,
+                           std::span<cplx> x) const {
+  const std::uint64_t flip = kernel_.flip;
+  const std::uint64_t sign_mask = kernel_.sign_mask;
+  const std::uint64_t slo = kernel_.select_mask & kBlockMask;
+  const std::uint64_t svlo = kernel_.select_val & kBlockMask;
+  simd::BlockRot b;
+  b.outer_mask = walk_mask_;
+  b.base = kernel_.select_val & ~kBlockMask;
+  b.partner = flip & ~kBlockMask;
+  b.sign = sign_mask & ~kBlockMask;
+  b.flo = static_cast<unsigned>(flip & kBlockMask);
+  // Pair representatives are the positions meeting the low selection, in
+  // every first block A, and in the partner block B too unless a transition
+  // factor above the block sets B apart (two_way). With no transition
+  // factor on the flip both amplitudes of a pair are representatives, and
+  // either coefficient is right: the 2x2 block is Hermitian, so
+  // sgn(s ^ flip) * v == sgn(s) * u.
+  const auto rep = [&](std::uint64_t q) { return (q & slo) == svlo; };
+  const bool two_way =
+      b.partner != 0 && (kernel_.select_mask & b.partner) == 0;
+  const int pf = std::popcount(sign_mask & b.partner) & 1;
+  const auto sgn = [&](int parity, std::uint64_t q) {
+    return ((parity ^ std::popcount(sign_mask & q)) & 1) ? -1.0 : 1.0;
+  };
+  for (int par = 0; par < 2; ++par) {
+    for (int blk = 0; blk < 2; ++blk) {
+      // Representatives and their partner positions of this block, with
+      // the sign parities of this block's and the other block's high bits
+      // (the one-block form is its own other block: partner == 0, pf == 0).
+      const bool own_reps = blk == 0 || two_way;
+      const bool other_reps = b.partner == 0 || blk == 1 || two_way;
+      const int own_par = par ^ (blk == 1 ? pf : 0);
+      const int other_par = par ^ (blk == 0 ? pf : 0);
+      for (std::uint64_t q = 0; q <= kBlockMask; ++q) {
+        double alpha = 1.0;
+        cplx beta;
+        if (own_reps && rep(q)) {
+          alpha = c;
+          beta = sgn(own_par, q) * v;
+        } else if (other_reps && rep(q ^ b.flo)) {
+          alpha = c;
+          beta = sgn(other_par, q ^ b.flo) * u;
+        }
+        for (std::size_t slot = 2 * q; slot < 2 * q + 2; ++slot) {
+          b.alpha[par][blk][slot] = alpha;
+          b.beta_re[par][blk][slot] = beta.real();
+          b.beta_im[par][blk][slot] = beta.imag();
+        }
+      }
+    }
+  }
+  const simd::Kernels& kn = simd::active();
+  const std::size_t blocks = std::size_t{1} << std::popcount(walk_mask_);
+  parallel_for(
+      blocks,
+      [&](std::size_t i0, std::size_t i1, int) {
+        kn.block_rot(x.data(), b, i0, i1);
+      },
+      std::max<std::size_t>(1, kParallelGrain >> kBlockBits));
+}
+
+double TermExp::apply_bytes() const {
+  if (diagonal_ ? d0_ == 0.0 : h0_ == cplx(0.0)) return 0.0;
+  // Walked units: selected states or pairs (runs and walk paths), first
+  // blocks (block path).
+  const double walked =
+      std::ldexp(1.0, std::popcount(walk_mask_) + run_bits_);
+  if (path_ == Path::blocks) {
+    // Whole 8-amplitude blocks of both streams, read + written.
+    const double streams = (kernel_.flip & ~kBlockMask) != 0 ? 2.0 : 1.0;
+    return walked * streams * 8.0 * 32.0;
+  }
+  // Selected amplitudes (diagonal) or both pair amplitudes, read + written.
+  return walked * (diagonal_ ? 32.0 : 64.0);
 }
 
 TrotterEvolver::TrotterEvolver(const ScbSum& h, double tol, int order,
@@ -204,381 +279,120 @@ TrotterEvolver::TrotterEvolver(const ScbSum& h, double tol, int order,
   // (mutually commuting, so their relative order is immaterial), then the
   // off-diagonal terms in input order. Any term order is an equally valid
   // product-formula splitting; this one groups the commuting diagonal
-  // family into one block — the split-step convention — which the fusion
-  // pass then collapses into a single phase-table sweep. Both the fused
-  // and the unfused (fuse = false) paths share this order, so they realize
-  // the SAME operator product.
+  // family into one block — the split-step convention — which fusion then
+  // collapses into a single phase-table sweep. Both the fused and the
+  // unfused (fuse = false) paths share this order, so they realize the
+  // SAME operator product.
   std::stable_partition(terms.begin(), terms.end(), [](const ScbTerm& t) {
     return TermKernel(t).flip == 0;
   });
   exps_.reserve(terms.size());
   for (const ScbTerm& t : terms) exps_.emplace_back(t);
-  build_schedule(terms);
+  if (fuse_) build_phase_table();
 }
 
-void TrotterEvolver::build_schedule(const std::vector<ScbTerm>& terms) {
-  groups_.clear();
-  diagonals_.clear();
-  const std::size_t nt = exps_.size();
-  if (!fuse_) {
-    groups_.resize(nt);
-    for (std::size_t t = 0; t < nt; ++t) groups_[t].members = {t};
-    return;
-  }
-
-  // Symbolic Hermitian parts for the commutation tests that make reordering
-  // legal: two exponentials may swap exactly when their Hermitian terms
-  // commute as operators, which the SCB algebra decides symbolically.
-  std::vector<ScbSum> hsums;
-  hsums.reserve(nt);
-  for (const ScbTerm& t : terms) {
-    ScbSum s(n_);
-    s.add(t);
-    hsums.push_back(std::move(s));
-  }
-  const auto commutes = [&](std::size_t a, std::size_t b) {
-    if (exps_[a].diagonal() && exps_[b].diagonal()) return true;
-    const TermKernel& ka = exps_[a].kernel();
-    const TermKernel& kb = exps_[b].kernel();
-    const std::uint64_t sa = ka.flip | ka.select_mask | ka.sign_mask;
-    const std::uint64_t sb = kb.flip | kb.select_mask | kb.sign_mask;
-    if ((sa & sb) == 0) return true;  // disjoint qubit support
-    return hsums[a].commutator(hsums[b]).one_norm() <= kCommuteTol;
-  };
-
-  // Greedy ASAP scheduling. Each term scans back for the LAST group holding
-  // a member it does not commute with (the barrier — the term cannot move
-  // past it without changing the operator product), then joins the earliest
-  // compatible group after the barrier, else opens a new group at the end.
-  // Joining appends the term after the target group's members and before
-  // every later group — all verified commuting — so the flattened schedule
-  // is reachable from the input order by swaps of commuting exponentials
-  // and the step operator is EXACTLY the unfused one.
-  struct Cand {
-    std::vector<std::size_t> members;
-    bool all_diag = false;
-    std::uint64_t flip_union = 0;
-  };
-  std::vector<Cand> cands;
-  for (std::size_t t = 0; t < nt; ++t) {
-    const TermKernel& k = exps_[t].kernel();
-    const bool diag = exps_[t].diagonal();
-    std::size_t barrier = 0;  // groups [barrier, end) all commute with t
-    for (std::size_t g = cands.size(); g-- > 0;) {
-      bool ok = true;
-      for (std::size_t m : cands[g].members)
-        if (!commutes(t, m)) {
-          ok = false;
-          break;
-        }
-      if (!ok) {
-        barrier = g + 1;
-        break;
-      }
-    }
-    bool joined = false;
-    for (std::size_t g = barrier; g < cands.size() && !joined; ++g) {
-      Cand& c = cands[g];
-      if (diag != c.all_diag) continue;
-      if (diag) {
-        c.members.push_back(t);
-        joined = true;
-        continue;
-      }
-      // Rotation batch join: the candidate's flip must stay out of every
-      // member's flip and select support (and vice versa) so the batch
-      // traversal's per-cell pair enumerations never interleave — sign
-      // overlap is fine, the sign is read from the actual state.
-      if (c.members.size() >= kMaxBatchMembers) continue;
-      if (std::popcount(c.flip_union | k.flip) > kMaxBatchFlipBits) continue;
-      bool disjoint = true;
-      for (std::size_t m : c.members) {
-        const TermKernel& km = exps_[m].kernel();
-        if ((k.flip & (km.flip | km.select_mask)) != 0 ||
-            (km.flip & (k.flip | k.select_mask)) != 0) {
-          disjoint = false;
-          break;
-        }
-      }
-      if (!disjoint) continue;
-      c.members.push_back(t);
-      c.flip_union |= k.flip;
-      joined = true;
-    }
-    if (!joined) cands.push_back({{t}, diag, k.flip});
-  }
-
-  // Materialize the groups. Diagonal groups fuse into a phase table only
-  // when the members' combined selected coverage beats the fused sweep's
-  // one-full-pass cost by ~1.5x (and the table fits the budget); otherwise
-  // they demote to singles in scheduled order, which is still the exact
-  // operator (diagonals commute).
+void TrotterEvolver::build_phase_table() {
+  std::size_t nd = 0;
+  while (nd < exps_.size() && exps_[nd].diagonal()) ++nd;
+  // The table replaces nd sweeps over the selected amplitudes with one
+  // full pass: fuse only when their combined coverage beats that pass by
+  // ~1.5x and the table fits the budget.
   const std::size_t dim = std::size_t{1} << n_;
+  if (nd < 2 || dim * (sizeof(double) + sizeof(cplx)) > kDiagTableBudget)
+    return;
+  double cov = 0.0;
+  for (std::size_t m = 0; m < nd; ++m) {
+    if (exps_[m].d0() == 0.0) continue;
+    cov += std::ldexp(1.0, static_cast<int>(n_) -
+                               std::popcount(exps_[m].kernel().select_mask));
+  }
+  if (2.0 * cov < 3.0 * static_cast<double>(dim)) return;
+
+  num_fused_ = nd;
+  angle_.assign(dim, 0.0);
   const std::uint64_t dim_mask = dim - 1;
-  for (Cand& c : cands) {
-    if (c.all_diag && c.members.size() >= 2 &&
-        dim * (sizeof(double) + sizeof(cplx)) <= kDiagTableBudget) {
-      double cov = 0.0;
-      for (std::size_t m : c.members) {
-        const TermKernel& k = exps_[m].kernel();
-        if (exps_[m].d0() == 0.0 || (k.select_val & ~dim_mask) != 0) continue;
-        cov += std::ldexp(1.0, static_cast<int>(n_) -
-                                   std::popcount(k.select_mask));
+  for (std::size_t m = 0; m < nd; ++m) {
+    const TermKernel& k = exps_[m].kernel();
+    const double d0 = exps_[m].d0();
+    if (d0 == 0.0) continue;
+    const std::uint64_t free_mask = dim_mask & ~k.select_mask;
+    const std::uint64_t select_val = k.select_val;
+    const std::uint64_t sign_mask = k.sign_mask;
+    const std::size_t count = std::size_t{1} << std::popcount(free_mask);
+    double* angle = angle_.data();
+    parallel_for(count, [&](std::size_t i0, std::size_t i1, int) {
+      std::uint64_t sub = scatter_bits(i0, free_mask);
+      for (std::size_t i = i0; i < i1; ++i) {
+        const std::uint64_t s = sub | select_val;
+        angle[s] += (std::popcount(sign_mask & s) & 1) ? -d0 : d0;
+        sub = (sub - free_mask) & free_mask;
       }
-      if (2.0 * cov >= 3.0 * static_cast<double>(dim)) {
-        FusedDiagonal fd;
-        fd.angle.assign(dim, 0.0);
-        for (std::size_t m : c.members) {
-          const TermKernel& k = exps_[m].kernel();
-          const double d0 = exps_[m].d0();
-          if (d0 == 0.0 || (k.select_val & ~dim_mask) != 0) continue;
-          const std::uint64_t free_mask = dim_mask & ~k.select_mask;
-          const std::uint64_t select_val = k.select_val;
-          const std::uint64_t sign_mask = k.sign_mask;
-          const std::size_t count = std::size_t{1}
-                                    << std::popcount(free_mask);
-          double* angle = fd.angle.data();
-          parallel_for(count, [&](std::size_t i0, std::size_t i1, int) {
-            std::uint64_t sub = scatter_bits(i0, free_mask);
-            for (std::size_t i = i0; i < i1; ++i) {
-              const std::uint64_t s = sub | select_val;
-              angle[s] += (std::popcount(sign_mask & s) & 1) ? -d0 : d0;
-              sub = (sub - free_mask) & free_mask;
-            }
-          });
-        }
-        fd.phase.assign(dim, cplx(0.0));
-        diagonals_.push_back(std::move(fd));
-        Group g;
-        g.kind = Group::Kind::diagonal;
-        g.members = std::move(c.members);
-        g.diag_index = static_cast<int>(diagonals_.size()) - 1;
-        groups_.push_back(std::move(g));
-        continue;
-      }
-    }
-    if (!c.all_diag && c.members.size() >= 2) {
-      Group g;
-      g.kind = Group::Kind::batch;
-      g.members = std::move(c.members);
-      g.flip_union = c.flip_union;
-      groups_.push_back(std::move(g));
-      continue;
-    }
-    for (std::size_t m : c.members) {
-      Group g;
-      g.members = {m};
-      groups_.push_back(std::move(g));
-    }
+    });
   }
+  phase_.assign(dim, cplx(0.0));
 }
 
-void TrotterEvolver::apply_group(const Group& g, double dt, std::span<cplx> x,
-                                 bool reverse) const {
-  switch (g.kind) {
-    case Group::Kind::diagonal:
-      // Commuting phases: member order is immaterial, forward == reverse.
-      apply_fused_diagonal(diagonals_[g.diag_index], dt, x);
-      return;
-    case Group::Kind::batch:
-      apply_batch(g, dt, x, reverse);
-      return;
-    case Group::Kind::single:
-      break;
-  }
+void TrotterEvolver::sweep(double dt, std::span<cplx> x, bool reverse) const {
+  // Commuting phases: the table is its own reverse.
+  const std::size_t nt = exps_.size();
   if (reverse) {
-    for (std::size_t i = g.members.size(); i-- > 0;)
-      exps_[g.members[i]].apply(dt, x);
+    for (std::size_t t = nt; t-- > num_fused_;) exps_[t].apply(dt, x);
+    if (num_fused_ > 0) apply_phase_table(dt, x);
   } else {
-    for (std::size_t m : g.members) exps_[m].apply(dt, x);
+    if (num_fused_ > 0) apply_phase_table(dt, x);
+    for (std::size_t t = num_fused_; t < nt; ++t) exps_[t].apply(dt, x);
   }
 }
 
-void TrotterEvolver::apply_fused_diagonal(const FusedDiagonal& fd, double dt,
-                                          std::span<cplx> x) const {
-  assert(x.size() == fd.angle.size());
+void TrotterEvolver::apply_phase_table(double dt, std::span<cplx> x) const {
   {
     std::scoped_lock lock(phase_mutex_);
-    if (!fd.phase_valid || fd.cached_dt != dt) {
-      const double* angle = fd.angle.data();
-      cplx* phase = fd.phase.data();
-      parallel_for(fd.phase.size(), [&](std::size_t lo, std::size_t hi, int) {
+    if (!phase_valid_ || phase_dt_ != dt) {
+      const double* angle = angle_.data();
+      cplx* phase = phase_.data();
+      parallel_for(phase_.size(), [&](std::size_t lo, std::size_t hi, int) {
         for (std::size_t s = lo; s < hi; ++s)
           phase[s] = std::polar(1.0, -dt * angle[s]);
       });
-      fd.cached_dt = dt;
-      fd.phase_valid = true;
+      phase_dt_ = dt;
+      phase_valid_ = true;
     }
   }
   const simd::Kernels& kn = simd::active();
   parallel_for(x.size(), [&](std::size_t lo, std::size_t hi, int) {
-    kn.phase_mul(x.data() + lo, fd.phase.data() + lo, hi - lo);
+    kn.phase_mul(x.data() + lo, phase_.data() + lo, hi - lo);
   });
 }
 
-void TrotterEvolver::apply_batch(const Group& g, double dt, std::span<cplx> x,
-                                 bool reverse) const {
-  const std::uint64_t dim_mask = x.size() - 1;
-  // Per-member rotation data in apply order (a handful of cos/sin per
-  // apply — nothing here allocates).
-  struct Member {
-    std::uint64_t flip = 0;
-    std::uint64_t sign = 0;
-    std::uint64_t sel_outer_mask = 0;  // select bits outside the cell
-    std::uint64_t sel_outer_val = 0;
-    std::uint64_t inner = 0;   // cell bits this member enumerates pairs over
-    std::uint64_t forced = 0;  // cell bits pinned by transition selection
-    double c = 1.0;
-    cplx u, v;
-    bool active = false;
-  };
-  std::array<Member, kMaxBatchMembers> md{};
-  const std::size_t nm = g.members.size();
-  std::uint64_t support = 0;
-  bool any = false;
-  for (std::size_t j = 0; j < nm; ++j) {
-    const TermExp& e = exps_[g.members[reverse ? nm - 1 - j : j]];
-    const TermKernel& k = e.kernel();
-    if ((k.select_val & ~dim_mask) != 0) continue;  // never selected
-    const double habs = std::abs(e.h0());
-    if (habs == 0.0) continue;  // coupling cancelled: identity
-    Member& m = md[j];
-    const double sn = std::sin(dt * habs);
-    const cplx unit = e.h0() / habs;
-    m.c = std::cos(dt * habs);
-    m.u = cplx(0.0, -sn) * unit;
-    m.v = cplx(0.0, -sn) * std::conj(unit);
-    m.flip = k.flip;
-    m.sign = k.sign_mask;
-    // The join rule keeps every member's select/flip support out of the
-    // other members' flips, so the non-flip select bits live outside the
-    // cell and test once per cell; flip-coincident select bits (transition
-    // factors) pin their cell bits instead.
-    m.sel_outer_mask = k.select_mask & ~k.flip;
-    m.sel_outer_val = k.select_val & ~k.flip;
-    const std::uint64_t pivot =
-        e.pair_in_sel() ? (k.flip & (~k.flip + 1)) : 0;
-    m.inner = g.flip_union & ~k.select_mask & ~pivot;
-    m.forced = k.select_val & k.flip;
-    m.active = true;
-    any = true;
-    support |= k.flip | k.select_mask | k.sign_mask;
-  }
-  if (!any) return;
-
-  // Cells are orbits of the combined flip masks extended by a contiguous
-  // low-bit run outside every member's support: every rotation of the batch
-  // reads and writes only within one cell, so cells parallelize race-free
-  // and the traversal touches each amplitude's cache line once.
-  std::uint64_t run_mask =
-      trailing_run_mask(dim_mask & ~support & ~g.flip_union);
-  int run_bits = std::popcount(run_mask);
-  const int flip_bits = std::popcount(g.flip_union);
-  if (run_bits > kMaxBatchCellBits - flip_bits) {
-    run_bits = std::max(0, kMaxBatchCellBits - flip_bits);
-    run_mask = (std::uint64_t{1} << run_bits) - 1;
-  }
-  const std::size_t run = std::size_t{1} << run_bits;
-  const std::uint64_t outer_mask = dim_mask & ~g.flip_union & ~run_mask;
-  const std::size_t cells = std::size_t{1} << std::popcount(outer_mask);
-  const int cell_bits = flip_bits + run_bits;
-  // Short runs rotate inline (same scalar formulas as TermExp's fallback
-  // walk): a per-pair indirect kernel call would dominate the arithmetic.
-  const bool wide = run_bits >= kMinRunBits;
-  const simd::Kernels& kn = simd::active();
-  parallel_for(
-      cells,
-      [&](std::size_t c0, std::size_t c1, int) {
-        std::uint64_t outer = scatter_bits(c0, outer_mask);
-        for (std::size_t ci = c0; ci < c1; ++ci) {
-          for (std::size_t j = 0; j < nm; ++j) {
-            const Member& m = md[j];
-            if (!m.active) continue;
-            if ((outer & m.sel_outer_mask) != m.sel_outer_val) continue;
-            std::uint64_t isub = 0;
-            do {
-              const std::uint64_t s = outer | isub | m.forced;
-              const bool neg = std::popcount(m.sign & s) & 1;
-              const cplx u = neg ? -m.u : m.u;
-              const cplx v = neg ? -m.v : m.v;
-              cplx* a = x.data() + s;
-              cplx* b = x.data() + (s ^ m.flip);
-              if (wide) {
-                kn.pair_rot(a, b, run, m.c, u, v);
-              } else {
-                for (std::size_t r = 0; r < run; ++r) {
-                  const cplx xa = a[r], xb = b[r];
-                  a[r] = m.c * xa + v * xb;
-                  b[r] = u * xa + m.c * xb;
-                }
-              }
-              isub = (isub - m.inner) & m.inner;
-            } while (isub != 0);
-          }
-          outer = (outer - outer_mask) & outer_mask;
-        }
-      },
-      std::max<std::size_t>(1, kParallelGrain >> cell_bits));
-}
-
 double TrotterEvolver::step_traffic_bytes(int order) const {
-  const double dim = std::ldexp(1.0, static_cast<int>(n_));
-  double sweep = 0.0;
-  for (const Group& g : groups_) {
-    switch (g.kind) {
-      case Group::Kind::diagonal:
-        // One full pass: amplitude read + write (32 B) + phase read (16 B).
-        sweep += dim * 48.0;
-        break;
-      case Group::Kind::batch: {
-        // One cell traversal; intra-cell reuse moves each touched amplitude
-        // through DRAM once (read + write), bounded by the full vector.
-        double amps = 0.0;
-        for (std::size_t m : g.members) {
-          const TermKernel& k = exps_[m].kernel();
-          amps += std::ldexp(
-              2.0, static_cast<int>(n_) - std::popcount(k.select_mask) -
-                       (exps_[m].pair_in_sel() ? 1 : 0));
-        }
-        sweep += std::min(amps, dim) * 32.0;
-        break;
-      }
-      case Group::Kind::single: {
-        const TermExp& e = exps_[g.members[0]];
-        const double cov =
-            std::ldexp(1.0, static_cast<int>(n_) -
-                                std::popcount(e.kernel().select_mask));
-        // Diagonal: selected amplitudes read + written. Off-diagonal: both
-        // pair amplitudes read + written per enumerated pair.
-        sweep += e.diagonal() ? cov * 32.0
-                              : (e.pair_in_sel() ? cov / 2.0 : cov) * 64.0;
-        break;
-      }
-    }
-  }
-  return (order == 2 ? 2.0 : 1.0) * sweep;
+  // Phase table: one full pass, amplitude read + write (32 B) plus the
+  // phase read (16 B); every other term: its own sweep's traffic.
+  double sweep_bytes =
+      num_fused_ > 0 ? std::ldexp(48.0, static_cast<int>(n_)) : 0.0;
+  for (std::size_t t = num_fused_; t < exps_.size(); ++t)
+    sweep_bytes += exps_[t].apply_bytes();
+  return (order == 2 ? 2.0 : 1.0) * sweep_bytes;
 }
 
 void TrotterEvolver::step(std::span<cplx> x, double dt, int order) const {
   if (x.size() != (std::size_t{1} << n_))
     throw std::invalid_argument("TrotterEvolver::step: size mismatch");
+  if (order != 1 && order != 2)
+    throw std::invalid_argument("TrotterEvolver::step: order must be 1 or 2");
   GECOS_SPAN("trotter.step");
   if (telemetry::metrics_enabled()) {
     const std::uint64_t sweeps =
-        static_cast<std::uint64_t>(groups_.size()) * (order == 2 ? 2 : 1);
+        static_cast<std::uint64_t>(num_groups()) * (order == 2 ? 2 : 1);
     telemetry::count(telemetry::Counter::kernel_sweeps, sweeps);
     telemetry::count(telemetry::Counter::amplitudes_touched, x.size());
     telemetry::count(telemetry::Counter::bytes_moved,
                      static_cast<std::uint64_t>(step_traffic_bytes(order)));
   }
   if (order == 1) {
-    for (const Group& g : groups_) apply_group(g, dt, x, false);
-  } else if (order == 2) {
-    for (const Group& g : groups_) apply_group(g, dt / 2, x, false);
-    for (std::size_t i = groups_.size(); i-- > 0;)
-      apply_group(groups_[i], dt / 2, x, true);
+    sweep(dt, x, false);
   } else {
-    throw std::invalid_argument("TrotterEvolver::step: order must be 1 or 2");
+    sweep(dt / 2, x, false);
+    sweep(dt / 2, x, true);
   }
 }
 

@@ -11,22 +11,30 @@
 // sequence of in-place parallel sweeps with zero per-step allocation. See
 // DESIGN.md "Exact SCB-term exponentials" for the derivation.
 //
-// Fusion passes: a product-formula sweep is memory-bound — every term
-// exponential traverses the statevector once — so TrotterEvolver schedules
-// the term sequence into fused GROUPS at construction (only reordering
-// across terms whose Hermitian parts symbolically commute, which leaves the
-// operator product exactly unchanged):
+// One TermExp::apply is one sweep, on one of three paths fixed at compile
+// time from the term's masks:
 //
-//   * diagonal groups — all commuting diagonal exponentials collapse into
-//     ONE precomputed phase table e^{-i dt A[s]} (the angle table sums the
-//     members' +-d0 contributions; the phase table is cached per dt and
-//     rebuilt allocation-free when dt changes) applied in a single sweep;
-//   * rotation batches — pair rotations whose flips stay out of each
-//     other's flip/select support are applied cell-by-cell (cells = orbits
-//     of the combined flip masks, so cells never share amplitudes across
-//     parallel chunks) in one traversal instead of one sweep per term.
+//   * contiguous runs — when the free bits below every sign, flip and
+//     select bit give runs of >= 8 amplitudes, each run is one wide
+//     scale (diagonal) or pair_rot (off-diagonal) kernel call;
+//   * 8-amplitude blocks — an off-diagonal term with shorter runs (its
+//     masks reach bits 0-2) walks aligned blocks of 8 amplitudes through
+//     the simd block_rot kernel: per block pair x_A' = alpha_A x_A +
+//     beta_A P x_B (and the mirror for B), P the in-block partner
+//     permutation, one kernel call per parallel chunk;
+//   * scalar walk — short-run diagonal terms, and off-diagonal terms on
+//     states of fewer than 8 amplitudes (n <= 2), visit one selected state
+//     or pair at a time.
 //
-// See DESIGN.md "SIMD kernels & runtime dispatch" for the legality rules.
+// A step is diagonal-first: TrotterEvolver stable-partitions the diagonal
+// terms ahead of the off-diagonal ones (a legal splitting choice; diagonal
+// terms commute). With fusion on, that diagonal prefix collapses into ONE
+// precomputed phase table e^{-i dt A[s]} (the angle table sums the terms'
+// +-d0 contributions; the phase table is cached per dt and refilled in
+// place when dt changes) applied in a single sweep, and every off-diagonal
+// term is one TermExp::apply sweep in input order. The fused step is the
+// same operator product as the unfused one-sweep-per-term reference. See
+// DESIGN.md "Run splitting" and "Trotter fusion".
 #pragma once
 
 #include <cstdint>
@@ -53,30 +61,38 @@ class TermExp {
   /// Qubit count of the compiled term.
   std::size_t n_qubits() const { return kernel_.num_qubits; }
 
-  /// x <- exp(-i t H) x in place, touching only the selected amplitudes.
-  /// Parallelized over chunks of the selected-state walk; each basis-state
-  /// pair is owned by exactly one chunk, so the sweep is race-free.
+  /// x <- exp(-i t H) x in place. Throws std::invalid_argument unless
+  /// x.size() == 2^n_qubits(). Parallelized over chunks of the compiled
+  /// walk; each amplitude is owned by exactly one chunk, so the sweep is
+  /// race-free and bitwise identical for any thread count.
   void apply(double t, std::span<cplx> x) const;
 
-  /// Compiled mask kernel of the bare product (coeff folded into base) —
-  /// the structural data the fusion scheduler groups on.
+  /// Modelled bytes of statevector traffic of one apply (reads + writes of
+  /// the amplitudes its walk moves: whole blocks on the block path).
+  double apply_bytes() const;
+
+  /// Compiled mask kernel of the bare product (coeff folded into base).
   const TermKernel& kernel() const { return kernel_; }
   /// True when the term is diagonal (pure phase on selected states).
   bool diagonal() const { return diagonal_; }
-  /// True when the h.c. partner state s ^ flip is itself selected.
-  bool pair_in_sel() const { return pair_in_sel_; }
   /// Diagonal phase angle per sign (0 for off-diagonal terms).
   double d0() const { return d0_; }
-  /// Off-diagonal pair coupling h(s) = sgn(s) * h0 (0 for diagonal terms).
-  cplx h0() const { return h0_; }
 
  private:
+  // The sweep apply() runs (see the file comment).
+  enum class Path { runs, blocks, walk };
+
+  /// Block path: fills an 8-amplitude block plan for the rotation
+  /// (c, u, v) and runs it through the simd block_rot kernel.
+  void apply_blocks(double c, cplx u, cplx v, std::span<cplx> x) const;
+
   TermKernel kernel_;  // bare-product masks and base amplitude (coeff folded)
-  bool add_hc_ = false;
   bool diagonal_ = false;    // flip == 0: pure phase on selected states
-  bool pair_in_sel_ = false; // partner s ^ flip is itself a selected state
   double d0_ = 0.0;          // diagonal: phase angle magnitude per sign
   cplx h0_;                  // off-diagonal: block coupling h(s) = sgn(s)*h0
+  Path path_ = Path::walk;
+  std::uint64_t walk_mask_ = 0;  // bits the parallel walk enumerates
+  int run_bits_ = 0;             // runs path: log2 of the run length, else 0
 };
 
 /// Product-formula propagator for a Hermitian ScbSum (an Evolver, so quench
@@ -84,20 +100,23 @@ class TermExp {
 class TrotterEvolver : public Evolver {
  public:
   /// Gathers h.hermitian_terms(tol) (throws if the sum is not Hermitian)
-  /// and compiles one TermExp per term. `order` (1 or 2) is the
-  /// product-formula order used by the two-argument Evolver entry points.
-  /// `fuse` enables the construction-time fusion scheduler (see the file
-  /// comment); fuse = false keeps one sweep per term in input order — the
-  /// reference the fused path is benchmarked and tested against.
+  /// and compiles one TermExp per term, diagonal terms first. `order` (1 or
+  /// 2) is the product-formula order used by the two-argument Evolver entry
+  /// points. `fuse` folds the diagonal prefix into one phase table (see the
+  /// file comment); fuse = false keeps one sweep per term — the reference
+  /// the fused path is benchmarked and tested against.
   explicit TrotterEvolver(const ScbSum& h, double tol = 1e-12, int order = 2,
                           bool fuse = true);
 
   /// Qubit count and number of compiled term exponentials.
   std::size_t n_qubits() const override { return n_; }
   std::size_t num_terms() const { return exps_.size(); }
-  /// Scheduled fused groups per sweep (== num_terms() when fuse = false).
-  std::size_t num_groups() const { return groups_.size(); }
-  /// Whether the fusion scheduler was enabled at construction.
+  /// Sweeps per forward pass: the phase table (if any) plus one per term
+  /// outside it (== num_terms() when fuse = false).
+  std::size_t num_groups() const {
+    return exps_.size() - num_fused_ + (num_fused_ > 0 ? 1 : 0);
+  }
+  /// Whether fusion was enabled at construction.
   bool fused() const { return fuse_; }
   /// Estimated bytes of statevector traffic per step at the given order
   /// (reads + writes of amplitudes and phase tables; the bench roofline
@@ -126,51 +145,32 @@ class TrotterEvolver : public Evolver {
   void evolve(StateVector& x, double t, int steps, int order) const;
 
  private:
-  // One fused diagonal group: angle[s] sums the members' signed d0
-  // contributions over the full dimension; phase caches e^{-i dt angle[s]}
-  // for the last dt (both sized at construction, so steps never allocate —
-  // a dt change refills in place). cached_dt guards the cache; phases are
-  // mutable because caching does not change the evolver's value.
-  struct FusedDiagonal {
-    std::vector<double> angle;
-    mutable std::vector<cplx> phase;
-    mutable double cached_dt = 0.0;
-    mutable bool phase_valid = false;
-  };
-  // One scheduled group of the term sequence (kind single = plain
-  // TermExp::apply; diagonal = one phase-table sweep over diagonals_[
-  // diag_index]; batch = disjoint-support rotations applied cell-by-cell).
-  struct Group {
-    enum class Kind { single, diagonal, batch };
-    Kind kind = Kind::single;
-    std::vector<std::size_t> members;  // indices into exps_, apply order
-    std::uint64_t flip_union = 0;      // batch: union of member flips
-    int diag_index = -1;               // diagonal: index into diagonals_
-  };
-
-  /// Builds groups_ (and diagonals_) from the compiled exponentials; the
-  /// `terms` are the Hermitian terms the exponentials came from, used for
-  /// the symbolic commutation tests that make reordering legal.
-  void build_schedule(const std::vector<ScbTerm>& terms);
-  /// Applies one scheduled group (members reversed when reverse, for the
-  /// Strang back-sweep).
-  void apply_group(const Group& g, double dt, std::span<cplx> x,
-                   bool reverse) const;
-  /// One phase-table sweep of a fused diagonal group (rebuilds the cached
-  /// phases in place when dt differs from the cached one).
-  void apply_fused_diagonal(const FusedDiagonal& fd, double dt,
-                            std::span<cplx> x) const;
-  /// One cell-parallel traversal applying every rotation of a batch group.
-  void apply_batch(const Group& g, double dt, std::span<cplx> x,
-                   bool reverse) const;
+  /// Folds the diagonal prefix into the phase table when fusion is on and
+  /// the table pays for itself (sets num_fused_, angle_ and phase_).
+  void build_phase_table();
+  /// One pass over the term sequence at step dt: the phase table, then one
+  /// TermExp sweep per remaining term (in reverse order when reverse, for
+  /// the Strang back-sweep).
+  void sweep(double dt, std::span<cplx> x, bool reverse) const;
+  /// One phase-table sweep (refills the cached phases in place when dt
+  /// differs from the cached one).
+  void apply_phase_table(double dt, std::span<cplx> x) const;
 
   std::size_t n_ = 0;
   int order_ = 2;
   bool fuse_ = true;
   std::vector<TermExp> exps_;
-  std::vector<Group> groups_;
-  std::vector<FusedDiagonal> diagonals_;
-  // Guards the lazy per-dt phase-table rebuild so concurrent const steps
+  // Leading diagonal terms folded into the phase table (0: no table).
+  // angle[s] sums their signed d0 contributions; phase caches
+  // e^{-i dt angle[s]} for the last dt (both sized at construction, so
+  // steps never allocate). The cache is mutable because refilling it does
+  // not change the evolver's value.
+  std::size_t num_fused_ = 0;
+  std::vector<double> angle_;
+  mutable std::vector<cplx> phase_;
+  mutable double phase_dt_ = 0.0;
+  mutable bool phase_valid_ = false;
+  // Guards the lazy per-dt phase-table refill so concurrent const steps
   // (same contract as ScbSum's kernel cache) stay safe.
   mutable std::mutex phase_mutex_;
 };

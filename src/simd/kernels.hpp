@@ -16,6 +16,7 @@
 #include <cmath>
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 
 #include "simd/simd.hpp"
 
@@ -34,6 +35,28 @@ inline cplx cmul_fma(cplx s, cplx x) {
   return cplx(std::fma(s.real(), x.real(), -te),
               std::fma(s.real(), x.imag(), to));
 }
+
+/// One TermExp pair rotation in 8-amplitude block form (see TermExp::apply).
+/// The walk visits first blocks A = scatter_bits(i, outer_mask) | base and
+/// their partner blocks B = A ^ partner (partner == 0: one-block form, the
+/// pairs lie inside A). Position q of a block is rotated against position
+/// q ^ flo of the other block (of A itself in the one-block form):
+///   x_A' = alpha_A * x_A + beta_A * P x_B,  x_B' = alpha_B * x_B + beta_B * P x_A
+/// with (P y)[q] = y[q ^ flo]. alpha is real (c, or 1 for an untouched
+/// amplitude); beta is +-u, +-v or 0. Each table is indexed [parity of
+/// popcount(A & sign)][block A, B][slot] and holds every position's value
+/// duplicated over its re/im slots (2q and 2q + 1), so every tier loads the
+/// coefficients with no shuffle.
+struct BlockRot {
+  std::uint64_t outer_mask = 0;  // block-index bits (>= 3) of the walk
+  std::uint64_t base = 0;        // fixed bits of every first block
+  std::uint64_t partner = 0;     // first-to-partner block offset, or 0
+  std::uint64_t sign = 0;        // bits (>= 3) of A picking the table set
+  unsigned flo = 0;              // in-block partner offset, 0..7
+  double alpha[2][2][16];        // real diagonal factor, duplicated
+  double beta_re[2][2][16];      // partner factor, real part duplicated
+  double beta_im[2][2][16];      // partner factor, imaginary part duplicated
+};
 
 /// Function-pointer table of one dispatch tier. All lengths are in complex
 /// elements; distinct pointer arguments must not alias.
@@ -60,6 +83,11 @@ struct Kernels {
   /// b_i' = u a_i + c b_i — the exact TermExp 2x2 exponential block.
   void (*pair_rot)(cplx* a, cplx* b, std::size_t n, double c, cplx u,
                    cplx v) = nullptr;
+  /// Walks blocks [i0, i1) of a BlockRot over x (one parallel_for chunk):
+  /// per element re = fma(alpha, x.re, fma(br, y.re, -(bi * y.im))) and
+  /// im = fma(alpha, x.im, fma(br, y.im, bi * y.re)), y the partner.
+  void (*block_rot)(cplx* x, const BlockRot& b, std::size_t i0,
+                    std::size_t i1) = nullptr;
 };
 
 /// One tier's table plus whether this binary compiled it (a tier can be

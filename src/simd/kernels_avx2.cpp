@@ -12,9 +12,10 @@ namespace gecos::simd {
 
 namespace {
 
-// 256-bit pack of two interleaved complex<double>. The shuffles stay within
-// 128-bit lanes (permute_pd / movedup), so every op is cheap on all AVX2
-// parts.
+// 256-bit pack of two interleaved complex<double>. The arithmetic shuffles
+// stay within 128-bit lanes (permute_pd / movedup), so they are cheap on all
+// AVX2 parts; only xor_lanes<1> crosses lanes (permute2f128, once per
+// register of a block rotation).
 struct Avx2Pack {
   using V = __m256d;
   static constexpr std::size_t width = 2;
@@ -30,6 +31,14 @@ struct Avx2Pack {
   static V swap_pairs(V x) { return _mm256_permute_pd(x, 0b0101); }
   static V dup_even(V x) { return _mm256_movedup_pd(x); }
   static V dup_odd(V x) { return _mm256_permute_pd(x, 0b1111); }
+  template <unsigned M>
+  static V xor_lanes(V x) {
+    if constexpr (M == 0) {
+      return x;
+    } else {
+      return _mm256_permute2f128_pd(x, x, 0x01);
+    }
+  }
 };
 
 }  // namespace

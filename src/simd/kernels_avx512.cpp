@@ -32,6 +32,16 @@ struct Avx512Pack {
   static V swap_pairs(V x) { return _mm512_permute_pd(x, 0x55); }
   static V dup_even(V x) { return _mm512_movedup_pd(x); }
   static V dup_odd(V x) { return _mm512_permute_pd(x, 0xFF); }
+  template <unsigned M>
+  static V xor_lanes(V x) {
+    if constexpr (M == 0) {
+      return x;
+    } else {
+      constexpr int kImm =
+          (0 ^ M) | ((1 ^ M) << 2) | ((2 ^ M) << 4) | ((3 ^ M) << 6);
+      return _mm512_shuffle_f64x2(x, x, kImm);
+    }
+  }
 };
 
 }  // namespace

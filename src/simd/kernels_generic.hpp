@@ -3,7 +3,8 @@
 // Each tier translation unit defines a Pack type — a fixed-width vector of
 // interleaved re/im doubles with load/store, add/mul and the three fused
 // ops fmadd / fmaddsub / fmsubadd plus the in-register shuffles swap_pairs
-// / dup_even / dup_odd — and instantiates Impl<Pack> to obtain its Kernels
+// / dup_even / dup_odd / xor_lanes<M> (complex lane l takes lane l ^ M) —
+// and instantiates Impl<Pack> to obtain its Kernels
 // table. The bodies below spell every floating-point operation explicitly
 // (std::fma in the scalar tails, the fused Pack ops in the main loops) and
 // the TUs are compiled with -ffp-contract=off, so each tier performs the
@@ -18,10 +19,13 @@
 // the matching formulas.
 #pragma once
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 #include "simd/kernels.hpp"
+#include "util/bits.hpp"
 
 namespace gecos::simd {
 
@@ -188,10 +192,78 @@ struct Impl {
     }
   }
 
+  /// alpha * x + beta * y for one register of a block: alpha, beta_re and
+  /// beta_im point at the register's duplicated coefficient slots.
+  static typename P::V block_mix(const double* alpha, const double* beta_re,
+                                 const double* beta_im, typename P::V x,
+                                 typename P::V y) {
+    const typename P::V t = P::fmaddsub(
+        P::load(beta_re), y, P::mul(P::load(beta_im), P::swap_pairs(y)));
+    return P::fmadd(P::load(alpha), x, t);
+  }
+
+  /// block_rot walk for in-register partner offset M = flo % width; the
+  /// register offset flo / width is the same for every register.
+  template <unsigned M>
+  static void block_walk(cplx* x, const BlockRot& b,  // see doc above
+                         std::size_t i0, std::size_t i1) {
+    constexpr std::size_t kR = 8 / kW;  // registers per block
+    const std::size_t rx = b.flo / kW;
+    double* px = reinterpret_cast<double*>(x);
+    std::uint64_t sub = scatter_bits(i0, b.outer_mask);
+    for (std::size_t i = i0; i < i1; ++i) {
+      const std::uint64_t a = sub | b.base;
+      const int par = std::popcount(a & b.sign) & 1;
+      const double* al = b.alpha[par][0];
+      const double* br = b.beta_re[par][0];
+      const double* bi = b.beta_im[par][0];
+      double* pa = px + 2 * a;
+      typename P::V xa[kR];
+      for (std::size_t r = 0; r < kR; ++r) xa[r] = P::load(pa + r * kD);
+      if (b.partner != 0) {
+        double* pb = px + 2 * (a ^ b.partner);
+        typename P::V xb[kR];
+        for (std::size_t r = 0; r < kR; ++r) xb[r] = P::load(pb + r * kD);
+        for (std::size_t r = 0; r < kR; ++r) {
+          const std::size_t o = r * kD;
+          P::store(pa + o,
+                   block_mix(al + o, br + o, bi + o, xa[r],
+                             P::template xor_lanes<M>(xb[r ^ rx])));
+          P::store(pb + o, block_mix(al + 16 + o, br + 16 + o, bi + 16 + o,
+                                     xb[r],
+                                     P::template xor_lanes<M>(xa[r ^ rx])));
+        }
+      } else {
+        typename P::V ya[kR];
+        for (std::size_t r = 0; r < kR; ++r) {
+          const std::size_t o = r * kD;
+          ya[r] = block_mix(al + o, br + o, bi + o, xa[r],
+                            P::template xor_lanes<M>(xa[r ^ rx]));
+        }
+        for (std::size_t r = 0; r < kR; ++r) P::store(pa + r * kD, ya[r]);
+      }
+      sub = (sub - b.outer_mask) & b.outer_mask;
+    }
+  }
+
+  /// block_rot kernel (see Kernels::block_rot).
+  static void block_rot(cplx* x, const BlockRot& b, std::size_t i0,
+                        std::size_t i1) {
+    const unsigned m = b.flo % kW;
+    if constexpr (kW > 2) {
+      if (m == 2) return block_walk<2>(x, b, i0, i1);
+      if (m == 3) return block_walk<3>(x, b, i0, i1);
+    }
+    if constexpr (kW > 1) {
+      if (m == 1) return block_walk<1>(x, b, i0, i1);
+    }
+    block_walk<0>(x, b, i0, i1);
+  }
+
   /// The tier's dispatch table.
   static constexpr Kernels table() {
     return Kernels{&norm2_lanes, &dot_lanes, &scale,    &axpy,
-                   &axpby,       &phase_mul, &pair_rot};
+                   &axpby,       &phase_mul, &pair_rot, &block_rot};
   }
 };
 

@@ -37,6 +37,11 @@ struct ScalarPack {
   static V swap_pairs(V x) { return {x.e1, x.e0}; }
   static V dup_even(V x) { return {x.e0, x.e0}; }
   static V dup_odd(V x) { return {x.e1, x.e1}; }
+  template <unsigned M>
+  static V xor_lanes(V x) {
+    static_assert(M == 0);
+    return x;
+  }
 };
 
 }  // namespace

@@ -4,6 +4,7 @@
 // interface used polymorphically (TrotterEvolver and KrylovEvolver behind
 // one Evolver*, the integrator-swap contract of the quench workloads).
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <random>
 #include <stdexcept>
@@ -19,6 +20,7 @@
 #include "solver/krylov_evolve.hpp"
 #include "state/state_vector.hpp"
 #include "test_util.hpp"
+#include "util/parallel.hpp"
 
 using namespace gecos;
 
@@ -63,8 +65,12 @@ int main() {
 
   // TermExp against dense expm over random single terms: every structural
   // family (diagonal, Pauli flips, transitions, mixtures; bare and + h.c.).
-  for (int it = 0; it < 200; ++it) {
-    const std::size_t n = 1 + it % 5;
+  // From n = 3 every off-diagonal term with masks in bits 0-2 takes the
+  // 8-amplitude block path: up to n = 8 that covers flips inside a block,
+  // flips straddling bit 3 (one-way and two-way partner blocks) and sign
+  // strings through bits 0-2; n <= 2 covers the scalar pair walk.
+  for (int it = 0; it < 320; ++it) {
+    const std::size_t n = 1 + it % 8;
     const std::size_t dim = std::size_t{1} << n;
     const ScbTerm term = random_term(n, rng, it % 2 == 0);
     const double t = (static_cast<double>(rng() % 100) - 50.0) / 25.0;
@@ -76,6 +82,26 @@ int main() {
         dense_evolve(term.hamiltonian_matrix(), t, x0);
     CHECK_NEAR(vec_max_abs_diff(x, expect), 0.0, 1e-12);
     CHECK_NEAR(vec_norm(x), 1.0, 1e-12);  // exact exponentials are unitary
+  }
+
+  // The state must have exactly 2^n amplitudes: a 13-qubit X on qubit 12
+  // applied to a 2^10-amplitude span of a larger buffer throws and leaves
+  // the whole buffer untouched (it would otherwise write past the span).
+  {
+    std::vector<Scb> ops(13, Scb::I);
+    ops[12] = Scb::X;
+    const TermExp e(ScbTerm(1.0, ops, false));
+    std::vector<cplx> buf = random_state(std::size_t{1} << 13, rng);
+    const std::vector<cplx> before = buf;
+    bool threw = false;
+    try {
+      e.apply(0.3, std::span<cplx>(buf.data(), std::size_t{1} << 10));
+    } catch (const std::invalid_argument&) {
+      threw = true;
+    }
+    CHECK(threw);
+    CHECK(std::memcmp(buf.data(), before.data(),
+                      buf.size() * sizeof(cplx)) == 0);
   }
 
   // A non-Hermitian bare term has no closed-form unitary: must throw.
@@ -210,10 +236,10 @@ int main() {
     CHECK(vec_max_abs_diff(results[0], results[1]) < 2e-5);
   }
 
-  // Fusion schedule: the fused evolver collapses the term sequence into
-  // fewer groups, reproduces the unfused (one-sweep-per-term, same
-  // canonical order) trajectory to 1e-12 over a real quench, and its
-  // traffic model shrinks accordingly.
+  // Fusion: the fused evolver folds the diagonal prefix into one phase
+  // table (fewer sweeps than terms), reproduces the unfused
+  // (one-sweep-per-term, same canonical order) trajectory to 1e-12 over a
+  // real quench, and its traffic model shrinks accordingly.
   {
     const TrotterEvolver fused(h, 1e-12, 2, true);
     const TrotterEvolver plain(h, 1e-12, 2, false);
@@ -257,6 +283,35 @@ int main() {
       }
     }
     set_simd_tier(initial);
+  }
+
+  // Thread invariance at scale: one fused n = 20 Strang step (10-site
+  // spinful 5x2 lattice, every sweep path including the block path on the
+  // hops reaching bits 0-2) is bitwise identical at 1 and 4 threads.
+  {
+    HubbardParams q;
+    q.lx = 5;
+    q.ly = 2;
+    q.u = 4.0;
+    q.mu = 0.5;
+    q.periodic_x = true;
+    q.spinful = true;
+    const ScbSum h20 = hubbard_scb(q);
+    const std::size_t n20 = h20.num_qubits();
+    const TrotterEvolver ev20(h20);
+    const int saved_threads = num_threads();
+    const StateVector x0 = StateVector::random(n20, 2024);
+    std::vector<std::vector<cplx>> out;
+    for (const int threads : {1, 4}) {
+      set_num_threads(threads);
+      StateVector x = x0;
+      ev20.step(x, 0.02, 2);
+      out.emplace_back(x.amps().begin(), x.amps().end());
+    }
+    set_num_threads(saved_threads);
+    CHECK_EQ(n20, std::size_t{20});
+    CHECK(std::memcmp(out[0].data(), out[1].data(),
+                      out[0].size() * sizeof(cplx)) == 0);
   }
 
   return gecos::test::finish("test_evolve");

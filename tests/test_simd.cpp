@@ -10,6 +10,8 @@
 #include "alloc_probe.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstring>
 #include <random>
 #include <stdexcept>
@@ -24,6 +26,7 @@
 #include "simd/simd.hpp"
 #include "state/state_vector.hpp"
 #include "test_util.hpp"
+#include "util/bits.hpp"
 
 namespace {
 
@@ -157,6 +160,70 @@ int main() {
     }
     std::printf("tier %s: all kernels bitwise-equal to scalar\n",
                 simd_tier_name(t));
+  }
+
+  // -- block rotation kernel -------------------------------------------------
+  // block_rot over a 2^7-amplitude state: every in-block partner offset flo
+  // (0..7), the one-block (partner 0) and two-block (partner bit 5) forms, a
+  // sign bit (4) in the walk so both coefficient parities occur, and a chunk
+  // starting mid-walk. The scalar tier must compute the documented
+  // per-element formula exactly; every wide tier must match it bitwise.
+  {
+    std::uniform_real_distribution<double> d(-1.0, 1.0);
+    const std::size_t dim = 128;
+    for (const std::uint64_t partner : {std::uint64_t{0}, std::uint64_t{32}}) {
+      for (unsigned flo = 0; flo < 8; ++flo) {
+        simd::BlockRot b;
+        b.outer_mask = 0x78 & ~partner;  // bits 3-6 minus the partner bit
+        b.base = 0;
+        b.partner = partner;
+        b.sign = 0x10;
+        b.flo = flo;
+        for (int par = 0; par < 2; ++par)
+          for (int blk = 0; blk < 2; ++blk)
+            for (int q = 0; q < 8; ++q) {
+              const double a = d(rng), br = d(rng), bi = d(rng);
+              for (int slot = 2 * q; slot < 2 * q + 2; ++slot) {
+                b.alpha[par][blk][slot] = a;
+                b.beta_re[par][blk][slot] = br;
+                b.beta_im[par][blk][slot] = bi;
+              }
+            }
+        const std::size_t blocks =
+            std::size_t{1} << std::popcount(b.outer_mask);
+        const std::vector<cplx> x0 = random_vec(dim, rng);
+
+        // Reference: the formula of Kernels::block_rot, element by element.
+        std::vector<cplx> expect = x0;
+        for (std::size_t i = 1; i < blocks; ++i) {
+          const std::uint64_t a = scatter_bits(i, b.outer_mask) | b.base;
+          const int par = std::popcount(a & b.sign) & 1;
+          const std::uint64_t bb = a ^ b.partner;
+          for (int blk = 0; blk < (partner != 0 ? 2 : 1); ++blk) {
+            const std::uint64_t own = blk == 0 ? a : bb;
+            const std::uint64_t other = blk == 0 ? bb : a;
+            for (unsigned q = 0; q < 8; ++q) {
+              const cplx xv = x0[own + q], y = x0[other + (q ^ flo)];
+              const double al = b.alpha[par][blk][2 * q];
+              const double br = b.beta_re[par][blk][2 * q];
+              const double bi = b.beta_im[par][blk][2 * q];
+              expect[own + q] = cplx(
+                  std::fma(al, xv.real(),
+                           std::fma(br, y.real(), -(bi * y.imag()))),
+                  std::fma(al, xv.imag(), std::fma(br, y.imag(),
+                                                   bi * y.real())));
+            }
+          }
+        }
+        for (SimdTier t :
+             {SimdTier::scalar, SimdTier::avx2, SimdTier::avx512}) {
+          if (!simd_tier_available(t)) continue;
+          std::vector<cplx> x = x0;
+          simd::impl_for(t).kernels.block_rot(x.data(), b, 1, blocks);
+          CHECK(same_bits(expect, x));
+        }
+      }
+    }
   }
 
   // -- dispatched blas1 and operator sweeps: bitwise across tiers -----------
