@@ -322,10 +322,20 @@ void Scheduler::run_ground_state(const JobSpec& spec, std::uint64_t id,
   }
   const auto run = [&](const LinearOperator& h) {
     Lanczos solver(h, lo);
-    const LanczosResult& res = (!ck.empty() && checkpoint_exists(ck))
-                                   ? solver.resume(ck)
-                                   : solver.solve();
-    fill_ground_state(out, res);
+    const LanczosResult* res = nullptr;
+    if (!ck.empty() && checkpoint_exists(ck)) {
+      try {
+        res = &solver.resume(ck);
+      } catch (const Error& e) {
+        // A checkpoint of another solver geometry or reorthogonalization
+        // policy (one written by an older build, say) can never resume
+        // here: drop it and solve from the start. resume() rejects it
+        // before touching solver state. Any other error fails the job.
+        if (e.kind() != ErrorKind::dim_mismatch) throw;
+        remove_checkpoint(ck);
+      }
+    }
+    fill_ground_state(out, res != nullptr ? *res : solver.solve());
   };
   if (spec.use_sector) {
     // The shared_ptr pins the cache entry for the whole solve.

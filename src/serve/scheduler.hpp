@@ -17,7 +17,9 @@
 // to the uninterrupted one for a fixed thread count — now holds end-to-end
 // through a daemon kill (pinned by tools/serve_smoke.cpp in CI). The
 // checkpoint is keyed by job_key(), not job id, so a warm re-submission of
-// an identical spec also finds it.
+// an identical spec also finds it. A checkpoint that Lanczos::resume
+// rejects as another geometry or reorthogonalization policy (written by
+// an older build) is removed and the job solves from the start.
 //
 // Observable batching: when the executor pops an expectation job it
 // collects EVERY other queued expectation job with the same

@@ -1,7 +1,6 @@
 #include "solver/lanczos.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -17,8 +16,9 @@ namespace gecos {
 
 namespace {
 
-/// Orthogonality-loss threshold of the selective policy: a full pass fires
-/// when the omega estimate crosses sqrt(machine epsilon).
+/// Ceiling of the selective policy's orthogonality-loss threshold: a full
+/// pass fires at the latest when the omega estimate crosses sqrt(machine
+/// epsilon) (semi-orthogonality); Lanczos::extend lowers it to tol / ||T||.
 const double kOmegaLimit = std::sqrt(std::numeric_limits<double>::epsilon());
 /// Baseline orthogonality level right after an explicit orthogonalization.
 const double kEps = std::numeric_limits<double>::epsilon();
@@ -26,6 +26,18 @@ const double kEps = std::numeric_limits<double>::epsilon();
 /// resume boundaries: explicit (re)orthogonalization keeps both near 1e-13,
 /// so crossing 1e-6 means the basis invariants are gone, not merely noisy.
 const double kHealthLimit = 1e-6;
+
+/// Gershgorin bound on ||T|| of the live leading n x n block of the
+/// row-major m x m projected matrix t: its largest absolute row sum.
+double gershgorin(const std::vector<double>& t, std::size_t m, std::size_t n) {
+  double g = 0.0;
+  for (std::size_t r = 0; r < n; ++r) {
+    double s = 0.0;
+    for (std::size_t c = 0; c < n; ++c) s += std::abs(t[r * m + c]);
+    g = std::max(g, s);
+  }
+  return g;
+}
 
 }  // namespace
 
@@ -36,18 +48,22 @@ Lanczos::Lanczos(const LinearOperator& op, LanczosOptions opts)
       m_(std::min(opts.max_subspace, dim_)),
       keep_(std::min(opts.k + 8, m_ >= 2 ? m_ - 2 : std::size_t{0})),
       basis_(dim_ < 2 ? 2 : dim_, (m_ < 2 ? 2 : m_) + 1),
-      aux_(dim_ < 2 ? 2 : dim_, keep_ == 0 ? 1 : keep_),
       rng_(opts.seed) {
   if (opts.k == 0) throw std::invalid_argument("Lanczos: k must be >= 1");
   if (dim_ < 2) throw std::invalid_argument("Lanczos: operator dim < 2");
   if (opts.k + 2 > m_)
     throw std::invalid_argument(
         "Lanczos: max_subspace must be >= k + 2 (and <= operator dim)");
+  if (keep_ > KrylovBasis::kMaxCombine)
+    throw std::invalid_argument(
+        "Lanczos: a restart would keep " + std::to_string(keep_) +
+        " Ritz vectors, more than the " +
+        std::to_string(KrylovBasis::kMaxCombine) +
+        " KrylovBasis::combine_in_place takes");
   tmat_.assign(m_ * m_, 0.0);
   proj_.assign(m_ * m_, 0.0);
   omega_.assign(m_ + 1, kEps);
   omega_prev_.assign(m_ + 1, kEps);
-  coeffs_.assign(m_ + 1, cplx(0.0));
   ws_.reserve(m_);
   result_.eigenvalues.assign(opts_.k, 0.0);
   result_.residuals.assign(opts_.k, 0.0);
@@ -60,8 +76,13 @@ Lanczos::Lanczos(const LinearOperator& op, LanczosOptions opts)
 }
 
 std::span<const cplx> Lanczos::ritz_vector(std::size_t i) const {
-  assert(i < opts_.k && opts_.compute_vectors);
-  return aux_.vec(i);
+  if (i >= opts_.k || !opts_.compute_vectors || i >= ritz_count_)
+    throw std::invalid_argument(
+        "Lanczos::ritz_vector(" + std::to_string(i) + "): k = " +
+        std::to_string(opts_.k) + ", compute_vectors " +
+        (opts_.compute_vectors ? "on" : "off") + ", last solve recovered " +
+        std::to_string(ritz_count_) + " vector(s)");
+  return basis_.vec(i);
 }
 
 double Lanczos::extend(std::size_t j) const {
@@ -93,9 +114,15 @@ double Lanczos::extend(std::size_t j) const {
     case LanczosReorth::kSelective: {
       // Parlett-Simon omega recurrence over the tridiagonal tail estimates
       // |<v_{j+1}, v_i>| growth from the three-term recurrence alone; a
-      // full pass fires only when the estimate crosses sqrt(eps). The
-      // locked thick-restart prefix is always projected out (it is k+8
-      // vectors at most — cheap next to a matvec). Conventions: omega_
+      // full pass fires only when the estimate crosses
+      // min(sqrt(eps), tol / ||T||). sqrt(eps) is semi-orthogonality; the
+      // tol / ||T|| term exists because a Ritz vector built from a basis
+      // with orthogonality loss omega has a residual floor of order
+      // omega ||T||, which must stay below the requested tol. ||T|| is the
+      // Gershgorin bound of the live projected matrix, a function of
+      // tmat_ alone, so a resumed run fires the same passes. The locked
+      // thick-restart prefix is always projected out (it is k+8 vectors at
+      // most — cheap next to a matvec). Conventions: omega_
       // holds the current generation omega_{j,.} with the implicit
       // diagonal omega_{j,j} = 1, omega_prev_ the previous one; the new
       // generation is computed strictly from OLD values (old_im1 carries
@@ -121,7 +148,9 @@ double Lanczos::extend(std::size_t j) const {
       }
       omega_prev_[j] = 1.0;   // omega_{j,j}
       omega_[j] = kEps;       // omega_{j+1,j}: freshly orthogonal pair
-      if (worst > kOmegaLimit) {
+      const double limit =
+          std::min(kOmegaLimit, opts_.tol / gershgorin(tmat_, m_, j + 1));
+      if (worst > limit) {
         basis_.project_out(w, j + 1, 1);
         for (std::size_t i = 0; i <= j; ++i)
           omega_[i] = omega_prev_[i] = kEps;
@@ -144,15 +173,9 @@ void Lanczos::project_eig(std::size_t jj) const {
 
 void Lanczos::thick_restart(std::size_t jj, std::size_t l, double b) const {
   GECOS_SPAN("lanczos.restart");
-  // Ritz vectors u_i = V z_i of the l lowest pairs, staged in aux_ (the
-  // basis slots are still live inputs while any u_i is unfinished).
-  for (std::size_t i = 0; i < l; ++i) {
-    for (std::size_t r = 0; r < jj; ++r)
-      coeffs_[r] = cplx(ws_.z[r * jj + i]);
-    vec_fill(aux_.vec(i), cplx(0.0));
-    basis_.accumulate(aux_.vec(i), coeffs_, jj);
-  }
-  for (std::size_t i = 0; i < l; ++i) vec_copy(basis_.vec(i), aux_.vec(i));
+  // Ritz vectors u_i = V z_i of the l lowest pairs over slots [0, l), in
+  // one tiled in-place pass; the residual vector moves from slot jj to l.
+  basis_.combine_in_place(ws_.z, jj, l);
   vec_copy(basis_.vec(l), basis_.vec(jj));
 
   // Restart-boundary health monitors: every kept Ritz vector must still be
@@ -203,6 +226,7 @@ const LanczosResult& Lanczos::solve() {
   // Seeded Gaussian start vector written straight into slot 0 (no
   // temporary), normalized by the common path below. The distribution is
   // reset so each solve() draws the same sequence a fresh local would.
+  ritz_count_ = 0;
   dist_.reset();
   std::span<cplx> v0 = basis_.vec(0);
   for (cplx& x : v0) x = cplx(dist_(rng_), dist_(rng_));
@@ -212,7 +236,9 @@ const LanczosResult& Lanczos::solve() {
 const LanczosResult& Lanczos::solve(std::span<const cplx> v0) {
   if (v0.size() != dim_)
     throw std::invalid_argument("Lanczos::solve: start vector size mismatch");
-  vec_copy(basis_.vec(0), v0);
+  ritz_count_ = 0;
+  // v0 may be this solver's own ritz_vector(0), i.e. slot 0 itself.
+  if (v0.data() != basis_.vec(0).data()) vec_copy(basis_.vec(0), v0);
   return run();
 }
 
@@ -281,6 +307,7 @@ const LanczosResult& Lanczos::resume(const std::string& path) {
   rs >> rng_ >> dist_;
   if (!rs)
     throw Error(ErrorKind::io_corrupt, path + ": RNG state unreadable");
+  ritz_count_ = 0;  // the basis slots are overwritten from here on
   for (std::size_t s = 0; s <= j; ++s) r.get_cplx(basis_.vec(s));
   r.require_end();
 
@@ -454,12 +481,10 @@ const LanczosResult& Lanczos::loop(std::size_t j0) {
   }
 
   if (opts_.compute_vectors) {
-    for (std::size_t i = 0; i < k && i < jj; ++i) {
-      for (std::size_t r = 0; r < jj; ++r)
-        coeffs_[r] = cplx(ws_.z[r * jj + i]);
-      vec_fill(aux_.vec(i), cplx(0.0));
-      basis_.accumulate(aux_.vec(i), coeffs_, jj);
-    }
+    // Ritz vectors over basis slots [0, min(k, jj)), where ritz_vector()
+    // serves them until the next solve.
+    ritz_count_ = std::min(k, jj);
+    basis_.combine_in_place(ws_.z, jj, ritz_count_);
   }
   return result_;
 }

@@ -7,7 +7,7 @@
 // projection scheme: build an orthonormal Krylov basis V_m with the
 // Hermitian three-term recurrence, diagonalize the small projected matrix,
 // lock the best Ritz pairs and restart the basis from them (thick restart,
-// Wu-Simon style) so memory stays at max_subspace vectors no matter how
+// Wu-Simon style) so memory stays at max_subspace + 1 vectors no matter how
 // many iterations convergence takes. Reorthogonalization policy, residual
 // convergence criteria and the restart rule are documented in DESIGN.md
 // "Krylov solver layer". After construction (which preallocates the basis,
@@ -41,9 +41,17 @@ namespace gecos {
 
 /// Reorthogonalization policy of a Lanczos run (see DESIGN.md).
 enum class LanczosReorth {
-  kFull,       ///< every iteration orthogonalizes against the whole basis
-  kSelective,  ///< omega-recurrence estimate triggers full passes on demand
-  kNone,       ///< bare three-term recurrence (ghost eigenvalues; testing)
+  /// Every iteration orthogonalizes against the whole basis (the reference
+  /// policy: machine-level orthogonality at one extra basis sweep per step).
+  kFull,
+  /// The default. The Parlett-Simon omega recurrence estimates the
+  /// orthogonality loss, and a full pass fires only when the estimate
+  /// exceeds min(sqrt(eps), tol / ||T||), ||T|| a Gershgorin bound of the
+  /// projected matrix: semi-orthogonality, tightened so the Ritz residual
+  /// floor omega ||T|| stays below tol. The locked restart prefix is
+  /// projected out every iteration.
+  kSelective,
+  kNone,  ///< bare three-term recurrence (ghost eigenvalues; testing)
 };
 
 /// Tuning knobs for the Lanczos eigensolver.
@@ -52,7 +60,9 @@ struct LanczosOptions {
   std::size_t max_subspace = 48;   ///< basis cap m before a thick restart
   std::size_t max_matvecs = 20000; ///< hard budget on operator applications
   double tol = 1e-10;              ///< residual bound ||H y - theta y||
-  LanczosReorth reorth = LanczosReorth::kFull;  ///< see DESIGN.md
+  /// Reorthogonalization policy (see LanczosReorth and DESIGN.md). A
+  /// checkpoint records it; resume() rejects another policy's checkpoint.
+  LanczosReorth reorth = LanczosReorth::kSelective;
   bool compute_vectors = true;     ///< recover Ritz vectors after convergence
   std::uint64_t seed = 20260730;   ///< start-vector seed when none is given
   /// Checkpoint file path; empty (the default) disables checkpointing and
@@ -113,7 +123,9 @@ class Lanczos {
   /// Captures the operator by reference (it must outlive the solver) and
   /// preallocates every buffer a solve touches. Throws
   /// std::invalid_argument when k = 0, when the subspace cannot hold
-  /// k + 2 vectors, or when the operator dimension is < 2.
+  /// k + 2 vectors, when a restart would keep min(k + 8, m - 2) >
+  /// KrylovBasis::kMaxCombine vectors, or when the operator dimension
+  /// is < 2.
   explicit Lanczos(const LinearOperator& op, LanczosOptions opts = {});
 
   /// Runs from a seeded random start vector. The result reference stays
@@ -135,9 +147,14 @@ class Lanczos {
   /// Result of the last solve (zeroed before the first).
   const LanczosResult& result() const { return result_; }
 
-  /// Ritz vector i (i < k) of the last solve; valid when
-  /// opts.compute_vectors was set. Normalized, stored in solver-owned
-  /// memory that the next solve overwrites.
+  /// Ritz vector i of the last solve, normalized. The solve recovers the
+  /// min(k, basis size) lowest ones in place into basis slots [0, ...), so
+  /// the span views slot i of the solver's basis: it stays valid until
+  /// the next solve() or resume() on this object overwrites the basis
+  /// (passing ritz_vector(0) itself to solve() is allowed). Throws
+  /// std::invalid_argument when i >= k, when opts.compute_vectors is off,
+  /// or when the last solve recovered fewer than i + 1 vectors (none
+  /// before the first solve, or after a solve that threw).
   std::span<const cplx> ritz_vector(std::size_t i) const;
 
  private:
@@ -156,9 +173,9 @@ class Lanczos {
   double extend(std::size_t j) const;
   /// Diagonalizes the leading jj x jj block of the projected matrix.
   void project_eig(std::size_t jj) const;
-  /// Contracts the jj-vector basis to the l lowest Ritz vectors plus the
-  /// (already normalized) residual vector in slot jj, whose coupling norm
-  /// is b.
+  /// Contracts the jj-vector basis in place to the l lowest Ritz vectors
+  /// (slots [0, l)) plus the (already normalized) residual vector, moved
+  /// from slot jj to slot l, whose coupling norm is b.
   void thick_restart(std::size_t jj, std::size_t l, double b) const;
 
   const LinearOperator& op_;
@@ -169,12 +186,13 @@ class Lanczos {
 
   std::size_t keep_ = 0;    // Ritz pairs kept at a thick restart (>= k)
 
-  mutable KrylovBasis basis_;  // m_ + 1 slots: v_0..v_m
-  mutable KrylovBasis aux_;    // keep_ slots: restart staging / Ritz vectors
+  // m_ + 1 slots: v_0..v_m; after a solve with compute_vectors, slots
+  // [0, ritz_count_) hold the Ritz vectors.
+  mutable KrylovBasis basis_;
+  std::size_t ritz_count_ = 0;  // Ritz vectors the last solve recovered
   mutable std::vector<double> tmat_;  // m_ x m_ projected matrix, row-major
   mutable std::vector<double> proj_;  // packed leading block for eigh_sym
   mutable std::vector<double> omega_, omega_prev_;  // selective-reorth bound
-  mutable std::vector<cplx> coeffs_;  // recombination scratch
   mutable SymEigWorkspace ws_;
   mutable std::mt19937_64 rng_;
   // Member (not loop-local) so its cached spare Gaussian serializes with

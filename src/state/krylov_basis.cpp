@@ -6,7 +6,9 @@
 #include <stdexcept>
 #include <string>
 
+#include "simd/kernels.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace gecos {
 
@@ -76,6 +78,38 @@ void KrylovBasis::accumulate(std::span<cplx> y, std::span<const cplx> coeffs,
                              std::size_t count) const {
   assert(y.size() == dim_ && count <= capacity_ && coeffs.size() >= count);
   for (std::size_t j = 0; j < count; ++j) vec_axpy(y, coeffs[j], vec(j));
+}
+
+void KrylovBasis::combine_in_place(std::span<const double> z, std::size_t rows,
+                                   std::size_t count) {
+  if (count == 0 || count > rows || count > kMaxCombine || rows > capacity_ ||
+      z.size() < rows * rows)
+    throw std::invalid_argument(
+        "KrylovBasis::combine_in_place: need 1 <= count <= rows <= capacity, "
+        "count <= " + std::to_string(kMaxCombine) + " and a rows x rows z");
+  // Tile length: the count outputs of one tile fill the stack buffer,
+  // rounded down to whole 8-amplitude blocks when the tile allows it.
+  std::size_t tile = kMaxCombine / count;
+  if (tile >= 8) tile -= tile % 8;
+  const simd::Kernels& kn = simd::active();
+  cplx* const data = store_.data();
+  const std::size_t dim = dim_;
+  parallel_for(dim, [&](std::size_t b, std::size_t e, int) {
+    alignas(64) cplx acc[kMaxCombine];
+    for (std::size_t t0 = b; t0 < e; t0 += tile) {
+      const std::size_t len = std::min(tile, e - t0);
+      std::fill(acc, acc + count * len, cplx(0.0));
+      // Rows in order, so each output amplitude sees the same axpy
+      // sequence as accumulate() into a zero-filled vector.
+      for (std::size_t r = 0; r < rows; ++r) {
+        const cplx* vr = data + r * dim + t0;
+        for (std::size_t i = 0; i < count; ++i)
+          kn.axpy(acc + i * len, vr, len, cplx(z[r * rows + i]));
+      }
+      for (std::size_t i = 0; i < count; ++i)
+        std::copy(acc + i * len, acc + (i + 1) * len, data + i * dim + t0);
+    }
+  });
 }
 
 }  // namespace gecos

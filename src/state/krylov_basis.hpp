@@ -5,12 +5,14 @@
 // to the 2^n state being processed. A KrylovBasis owns all m vectors in ONE
 // 64-byte-aligned block (same allocator as StateVector, contiguous so
 // basis-wide sweeps stream linearly), hands out per-vector spans, and
-// implements the two batched primitives the solvers share: modified
-// Gram-Schmidt orthogonalization of a work vector against the stored prefix
-// and linear recombination (Ritz-vector recovery, exp(T) coefficient
-// application). All inner loops route through the parallel BLAS-1 kernels;
-// nothing here allocates after construction, which is what makes solver
-// iterations allocation-free after warm-up.
+// implements the batched primitives the solvers share: modified
+// Gram-Schmidt orthogonalization of a work vector against the stored prefix,
+// linear recombination into an outside vector (exp(T) coefficient
+// application) and in-place recombination of the slots themselves
+// (thick-restart contraction, Ritz-vector recovery). All inner loops route
+// through the parallel BLAS-1 / SIMD kernels; nothing here allocates after
+// construction, which is what makes solver iterations allocation-free after
+// warm-up.
 #pragma once
 
 #include <cstddef>
@@ -64,6 +66,25 @@ class KrylovBasis {
   /// recombination). y must not alias any slot.
   void accumulate(std::span<cplx> y, std::span<const cplx> coeffs,
                   std::size_t count) const;
+
+  /// Most outputs combine_in_place() takes in one call: its per-thread
+  /// stack tile holds this many amplitudes, at least one per output.
+  static constexpr std::size_t kMaxCombine = 4096;
+
+  /// In-place recombination V[:, 0:count] <- V[:, 0:rows] Z[:, 0:count]:
+  /// slot i becomes sum_{r < rows} z[r * rows + i] v_r for every i < count,
+  /// with z the real row-major rows x rows matrix (the eigenvector layout
+  /// of eigh_sym: column i is vector i). Slots [count, rows) are read, not
+  /// written. One parallel pass over the amplitudes: each chunk walks its
+  /// range in tiles, accumulates the count outputs of a tile in a stack
+  /// buffer (rows in order, one axpy per row and output), then copies them
+  /// over the slots. Every output amplitude is therefore bitwise equal to
+  /// accumulate() of column i into a zero-filled outside vector, at any
+  /// thread count and SIMD tier. Throws std::invalid_argument unless
+  /// 1 <= count <= min(rows, kMaxCombine), rows <= capacity() and
+  /// z.size() >= rows * rows.
+  void combine_in_place(std::span<const double> z, std::size_t rows,
+                        std::size_t count);
 
  private:
   std::size_t dim_ = 0;

@@ -1,8 +1,9 @@
 // Lanczos eigensolver suite: k lowest eigenpairs against dense eigh on
 // Hubbard lattices up to n = 10, Ritz-vector residuals and orthonormality,
 // reorthogonalization-policy agreement, operator-interface genericity
-// (ScbSum / PauliSum / CsrMatrix), restart and deflation paths, and the
-// zero-allocation-after-warm-up pin via the operator-new probe.
+// (ScbSum / PauliSum / CsrMatrix), restart and deflation paths, the
+// ritz_vector() error paths, and the zero-allocation-after-warm-up pin via
+// the operator-new probe.
 #include "alloc_probe.hpp"  // first: replaces global operator new
 // clang-format off
 #include <cmath>
@@ -91,7 +92,9 @@ int main() {
       CHECK_NEAR(r.eigenvalues[i], levels[i], 1e-10);
 
     // Ritz pairs: true residual ||H y - theta y||, unit norm, mutual
-    // orthogonality.
+    // orthogonality. The solve runs the default kSelective policy, so the
+    // residual bound pins its tol-derived full-pass threshold: with the
+    // sqrt(eps) threshold alone these residuals reach 1.4e-9 to 5.9e-9.
     std::vector<cplx> hy(dim);
     for (std::size_t i = 0; i < lo.k; ++i) {
       const std::span<const cplx> y = solver.ritz_vector(i);
@@ -116,6 +119,7 @@ int main() {
     LanczosOptions full;
     full.k = 2;
     full.tol = 1e-11;
+    full.reorth = LanczosReorth::kFull;
     LanczosOptions sel = full;
     sel.reorth = LanczosReorth::kSelective;
     Lanczos sf(h, full), ss(h, sel);
@@ -198,6 +202,13 @@ int main() {
     CHECK(r.converged);
     CHECK(r.iterations <= 3);
     CHECK_NEAR(r.eigenvalues[0], warm.result().eigenvalues[0], 1e-10);
+    // The Ritz vector lives in the solver's own basis slot 0: restarting
+    // the same solver from it is allowed and converges just as fast.
+    const double e_warm = warm.result().eigenvalues[0];
+    const LanczosResult& again = warm.solve(warm.ritz_vector(0));
+    CHECK(again.converged);
+    CHECK(again.iterations <= 3);
+    CHECK_NEAR(again.eigenvalues[0], e_warm, 1e-10);
   }
 
   // -- breakdown/deflation: a basis-state start on a diagonal operator is
@@ -254,6 +265,45 @@ int main() {
       threw = true;
     }
     CHECK(threw);
+  }
+
+  // -- ritz_vector() rejects every slot the last solve did not fill ---------
+  {
+    HubbardParams p;  // 4-site chain
+    p.lx = 4;
+    const ScbSum h = hubbard_scb(p);
+    const auto rejects = [](const Lanczos& s, std::size_t i) {
+      try {
+        (void)s.ritz_vector(i);
+      } catch (const std::invalid_argument&) {
+        return true;
+      }
+      return false;
+    };
+    LanczosOptions lo;
+    lo.k = 1;
+    lo.max_subspace = 12;
+    Lanczos solver(h, lo);
+    CHECK(rejects(solver, 0));  // no solve yet
+    CHECK(solver.solve().converged);
+    CHECK(!rejects(solver, 0));
+    CHECK(rejects(solver, 1));   // i >= k
+    CHECK(rejects(solver, 40));  // far outside the basis
+
+    LanczosOptions nv = lo;  // vectors never recovered
+    nv.compute_vectors = false;
+    Lanczos novec(h, nv);
+    CHECK(novec.solve().converged);
+    CHECK(rejects(novec, 0));
+
+    LanczosOptions cut = lo;  // budget ends before k vectors exist
+    cut.k = 3;
+    cut.max_matvecs = 1;
+    Lanczos early(h, cut);
+    CHECK(!early.solve().converged);
+    CHECK(!rejects(early, 0));
+    CHECK(rejects(early, 1));
+    CHECK(rejects(early, 2));
   }
 
   // -- allocation probe: after a warm-up solve, a full re-solve on the same

@@ -106,8 +106,8 @@ int main() {
     CHECK(throws_kind(ErrorKind::dim_mismatch,
                       [&] { (void)wrong_m.resume(lpath); }));
 
-    LanczosOptions lo3 = lo;  // different reorth policy
-    lo3.reorth = LanczosReorth::kSelective;
+    LanczosOptions lo3 = lo;  // different reorth policy (lo: the default)
+    lo3.reorth = LanczosReorth::kFull;
     Lanczos wrong_policy(h, lo3);
     CHECK(throws_kind(ErrorKind::dim_mismatch,
                       [&] { (void)wrong_policy.resume(lpath); }));

@@ -2,17 +2,23 @@
 // priority ordering under a busy executor, observable batching (one Krylov
 // pass for K coalesced expectation jobs, bitwise equal to sequential runs),
 // cooperative cancel, runtime-failure kind propagation, abandon-and-resume
-// through the job journal + solver checkpoint, and terminal-result
-// persistence across a process-lifetime boundary (simulated by a fresh
-// Scheduler on the same state dir with the executor never started).
+// through the job journal + solver checkpoint, terminal-result persistence
+// across a process-lifetime boundary (simulated by a fresh Scheduler on the
+// same state dir with the executor never started), and the fresh-solve
+// fallback for a checkpoint of another reorthogonalization policy.
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <functional>
 #include <thread>
 #include <vector>
 
+#include "fermion/hubbard.hpp"
+#include "io/checkpoint.hpp"
 #include "serve/scheduler.hpp"
+#include "solver/lanczos.hpp"
+#include "symmetry/sector_operator.hpp"
 #include "test_util.hpp"
 #include "util/parallel.hpp"
 
@@ -288,6 +294,53 @@ int main() {
       CHECK_EQ(from_journal.matvecs, resumed.matvecs);
       CHECK(from_journal.converged);
     }
+  }
+
+  // -- a checkpoint the solver rejects is dropped, not a failed job ---------
+  {
+    // A daemon upgraded across a change of the default reorthogonalization
+    // policy finds its predecessor's checkpoint under the job's key. resume()
+    // rejects it (Error{dim_mismatch}); the job must solve from the start
+    // and match a fresh solve bit for bit.
+    JobSpec spec = small_ground();
+    spec.checkpoint_interval = 10;
+    const std::string dir = root + "/policy";
+    std::filesystem::create_directories(dir);
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(job_key(spec)));
+    const std::string ck = dir + "/ck_" + hex + ".ckpt";
+    {
+      const ScbSum h = hubbard_scb(spec.lattice);
+      const SectorOperator hs(
+          hubbard_sector(spec.lattice, spec.n_up, spec.n_down), h);
+      LanczosOptions lo;
+      lo.k = spec.num_eigenpairs;
+      lo.compute_vectors = false;
+      lo.reorth = LanczosReorth::kFull;
+      lo.checkpoint_path = ck;
+      lo.checkpoint_interval = 10;
+      CHECK(Lanczos(hs, lo).solve().checkpoints_written > 0);
+    }
+    CHECK(checkpoint_exists(ck));
+    SchedulerOptions o;
+    o.state_dir = dir;
+    Scheduler sched(o);
+    const std::uint64_t id = sched.submit(spec);
+    CHECK(sched.wait(id, 600.0));
+    CHECK_EQ(sched.stats().failed, 0u);
+    const bool done = sched.status(id).state == JobState::kDone;
+    CHECK(done);
+    if (done) {  // fetch() of a failed job would throw its recorded Error
+      const JobResult r = sched.fetch(id);
+      CHECK(r.converged);
+      CHECK(!r.resumed);
+      CHECK(bitwise_equal(r.eigenvalues, small_ref.eigenvalues));
+      CHECK(bitwise_equal(r.residuals, small_ref.residuals));
+      CHECK_EQ(r.matvecs, small_ref.matvecs);
+      CHECK(!checkpoint_exists(ck));  // the finished job cleans up
+    }
+    sched.stop(false);
   }
 
   std::filesystem::remove_all(root, ec);

@@ -5,13 +5,18 @@
 // projected sector matrix per sector, (3) imaginary-time projection agrees
 // with sector Lanczos, (4) sector KrylovEvolver == full-space KrylovEvolver
 // on embedded states, (5) warm sector Lanczos re-solves allocate nothing,
-// and (6) KrylovBasis::reset repartitioning.
+// (6) KrylovBasis::reset repartitioning, and (7) KrylovBasis::
+// combine_in_place bitwise equal to accumulate() at 1 and 4 threads on
+// every SIMD tier the host has.
 #include "alloc_probe.hpp"  // first: replaces global operator new
 // clang-format off
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <limits>
+#include <random>
+#include <stdexcept>
 #include <vector>
 // clang-format on
 
@@ -20,6 +25,7 @@
 #include "linalg/expm.hpp"
 #include "linalg/matrix.hpp"
 #include "ops/scb_sum.hpp"
+#include "simd/simd.hpp"
 #include "solver/imag_time.hpp"
 #include "solver/krylov_evolve.hpp"
 #include "solver/lanczos.hpp"
@@ -27,6 +33,7 @@
 #include "symmetry/sector_operator.hpp"
 #include "symmetry/sector_vector.hpp"
 #include "test_util.hpp"
+#include "util/parallel.hpp"
 
 using namespace gecos;
 
@@ -50,6 +57,59 @@ Matrix sector_dense(const SectorOperator& op) {
 
 /// Lowest eigenvalue of a Hermitian matrix via the dense Jacobi eigh.
 double dense_ground(const Matrix& m) { return eigh(m).eigenvalues.front(); }
+
+/// Checks KrylovBasis::combine_in_place over a random rows-slot basis of
+/// the given dim, for every count in [min_count, rows], on every available
+/// SIMD tier at 1 and 4 threads: outputs memcmp-equal to accumulate() of
+/// each column into a zero-filled outside vector, slots [count, rows)
+/// untouched.
+void check_combine_in_place(std::size_t dim, std::size_t rows,
+                            std::size_t min_count) {
+  std::mt19937 rng(static_cast<unsigned>(dim * 31 + rows));
+  std::normal_distribution<double> g;
+  std::vector<double> z(rows * rows);
+  for (double& x : z) x = g(rng);
+  KrylovBasis src(dim, rows);
+  for (std::size_t r = 0; r < rows; ++r)
+    for (cplx& a : src.vec(r)) a = cplx(g(rng), g(rng));
+  const std::size_t bytes = dim * sizeof(cplx);
+  const int threads0 = num_threads();
+  const SimdTier tier0 = simd_tier();
+  KrylovBasis kb(dim, rows);
+  KrylovBasis ref(dim, rows);  // slot i: accumulate() of column i into zeros
+  std::vector<cplx> coeffs(rows);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t r = 0; r < rows; ++r) coeffs[r] = cplx(z[r * rows + i]);
+    src.accumulate(ref.vec(i), coeffs, rows);
+  }
+  for (std::size_t count = min_count; count <= rows; ++count) {
+    for (const SimdTier tier :
+         {SimdTier::scalar, SimdTier::avx2, SimdTier::avx512}) {
+      if (!simd_tier_available(tier)) continue;
+      set_simd_tier(tier);
+      for (const int threads : {1, 4}) {
+        set_num_threads(threads);
+        for (std::size_t r = 0; r < rows; ++r)
+          vec_copy(kb.vec(r), src.vec(r));
+        kb.combine_in_place(z, rows, count);
+        bool same = true;
+        for (std::size_t i = 0; i < count; ++i)
+          same = same &&
+                 std::memcmp(kb.vec(i).data(), ref.vec(i).data(), bytes) == 0;
+        for (std::size_t r = count; r < rows; ++r)
+          same = same &&
+                 std::memcmp(kb.vec(r).data(), src.vec(r).data(), bytes) == 0;
+        if (!same)
+          std::printf("combine_in_place mismatch: dim %zu rows %zu count %zu "
+                      "tier %s threads %d\n",
+                      dim, rows, count, simd_tier_name(tier), threads);
+        CHECK(same);
+      }
+    }
+  }
+  set_simd_tier(tier0);
+  set_num_threads(threads0);
+}
 
 }  // namespace
 
@@ -188,6 +248,32 @@ int main() {
     CHECK_EQ(kb.dim(), std::size_t{64});
     for (std::size_t j = 0; j < 4; ++j)
       for (const cplx& a : kb.vec(j)) CHECK(a == cplx(0.0));
+  }
+
+  // -- KrylovBasis::combine_in_place: the thick-restart contraction is the
+  // staged accumulate() bit for bit ------------------------------------------
+  {
+    // Above the parallel grain, a dim that is no multiple of any tile or
+    // chunk length; then one count past 512, whose tiles drop below 8.
+    check_combine_in_place(3 * 8192 + 77, 12, 1);
+    check_combine_in_place(37, 600, 598);
+
+    KrylovBasis kb(16, 4);
+    const std::vector<double> z(16, 1.0);
+    const auto rejects = [&](std::span<const double> zz, std::size_t rows,
+                             std::size_t count) {
+      try {
+        kb.combine_in_place(zz, rows, count);
+      } catch (const std::invalid_argument&) {
+        return true;
+      }
+      return false;
+    };
+    CHECK(rejects(z, 4, 0));                         // no outputs
+    CHECK(rejects(z, 3, 4));                         // count > rows
+    CHECK(rejects(std::vector<double>(25), 5, 2));   // rows > capacity
+    CHECK(rejects(std::span<const double>(z).first(8), 4, 2));  // short z
+    CHECK(!rejects(z, 4, 4));
   }
 
   return gecos::test::finish("test_sector_solve");
