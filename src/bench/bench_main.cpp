@@ -56,7 +56,6 @@
 #include "ops/scb_sum.hpp"
 #include "ops/term.hpp"
 #include "serve/batch.hpp"
-#include "serve/scheduler.hpp"
 #include "simd/simd.hpp"
 #include "solver/krylov_evolve.hpp"
 #include "solver/lanczos.hpp"
@@ -451,11 +450,7 @@ void print_help(const char* prog) {
       "short timing windows are noise-dominated). serve_batch gates the\n"
       "serving layer: 16 coalesced expectation requests run as one batched\n"
       "evolution pass must beat the 16 sequential passes by >= 5x with\n"
-      "bitwise-identical values, and a warm re-submit of an identical\n"
-      "ground-state job to a live Scheduler must be served from the\n"
-      "artifact cache (artifact_hits > 0, zero kernel compiles / sector\n"
-      "table builds in the warm telemetry delta) while reproducing the\n"
-      "cold solve trajectory bit-for-bit.\n"
+      "bitwise-identical values.\n"
       "See DESIGN.md \"Benchmark methodology\", \"Krylov solver layer\",\n"
       "\"Symmetry sectors\", \"Spectral & thermal workloads\",\n"
       "\"Telemetry & tracing\", \"Serving layer\" and README.md\n"
@@ -502,14 +497,15 @@ int main(int argc, char** argv) {
                      argv[0]);
         return 2;
       }
-      const int k = std::atoi(argv[++i]);
-      if (k < 1) {
-        std::fprintf(stderr, "%s: --threads needs a positive count, got '%s'\n",
+      try {
+        threads_flag = parse_threads_env(argv[++i]);
+      } catch (const std::invalid_argument&) {
+        std::fprintf(stderr,
+                     "%s: --threads needs an integer in [1, 1024], got '%s'\n",
                      argv[0], argv[i]);
         return 2;
       }
-      threads_flag = k;
-      set_num_threads(k);
+      set_num_threads(threads_flag);
     } else if (std::strcmp(argv[i], "--simd") == 0) {
       if (i + 1 >= argc) {
         std::fprintf(stderr,
@@ -1738,16 +1734,12 @@ int main(int argc, char** argv) {
     return 0;
   }});
 
-  // -- serve_batch: the serving-layer gates ----------------------------------
-  // Two promises of src/serve/, measured and gated in one entry. (1)
-  // Observable batching: K = 16 coalesced expectation requests cost one
-  // Krylov evolution plus 16 cheap diagonal sweeps, not 16 evolutions —
-  // batched must beat sequential by >= 5x AND return bitwise-identical
-  // values (the trajectory is the same object, so equality is exact). (2)
-  // The artifact cache: re-submitting an identical ground-state job to a
-  // live Scheduler must serve the compiled sector operator from cache
-  // (artifact_hits > 0, zero kernel compiles, zero sector-table builds in
-  // the warm telemetry delta) and reproduce the cold solve bit-for-bit.
+  // -- serve_batch: the serving-layer batching gate --------------------------
+  // Observable batching, the promise of src/serve/batch.hpp: K = 16
+  // coalesced expectation requests cost one Krylov evolution plus 16 cheap
+  // diagonal sweeps, not 16 evolutions — batched must beat sequential by
+  // >= 5x AND return bitwise-identical values (the trajectory is the same
+  // object, so equality is exact).
   sections.push_back({"serve_batch", [&] {
     set_num_threads(k_threads);  // pin: identical under --only and full runs
     const HubbardParams hq = quench_lattice(quick);
@@ -1766,11 +1758,10 @@ int main(int argc, char** argv) {
       menu.push_back({serve::ObservableKind::kDensity, site, 0});
       menu.push_back({serve::ObservableKind::kDoublon, site, 0});
     }
-    std::vector<std::shared_ptr<const SectorOperator>> obs;
+    std::vector<SectorOperator> obs;
     obs.reserve(menu.size());
     for (const serve::ObservableSpec& o : menu)
-      obs.push_back(std::make_shared<const SectorOperator>(
-          basis, serve::build_observable(hq, o)));
+      obs.emplace_back(basis, serve::build_observable(hq, o));
     const std::size_t k_obs = obs.size();
 
     // Single-shot wall times (the idiom of the lanczos_* entries): the
@@ -1796,7 +1787,7 @@ int main(int argc, char** argv) {
     });
     sink += batched.values.size();
 
-    // Gate 1a: bitwise identity of every batched column against its
+    // Gate (a): bitwise identity of every batched column against its
     // sequential run (values, plus the shared times/loschmidt trajectory).
     bool identical = batched.values.size() == steps * k_obs;
     for (std::size_t i = 0; identical && i < k_obs; ++i) {
@@ -1819,7 +1810,7 @@ int main(int argc, char** argv) {
                    "identical to the sequential runs\n");
       return 1;
     }
-    // Gate 1b: the batching win itself.
+    // Gate (b): the batching win itself.
     const double batch_speedup = sequential_s / batched_s;
     const double speedup_gate = 5.0;
     if (batch_speedup < speedup_gate) {
@@ -1831,89 +1822,10 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    // (2) Warm-cache re-submit on a live scheduler. Same spec twice on the
-    // SAME Scheduler: the second run must find the compiled sector operator
-    // in the artifact cache and reproduce the cold trajectory exactly.
-    serve::JobSpec js;
-    js.kind = serve::JobKind::kGroundState;
-    js.lattice = hq;
-    js.use_sector = true;
-    js.n_up = static_cast<std::uint32_t>(n / 4);  // half filling per species
-    js.n_down = static_cast<std::uint32_t>(n / 4);
-    js.tol = tol;
-
-    serve::Scheduler sched;  // in-process, no state dir
-    const bool metrics_was = telemetry::metrics_enabled();
-    telemetry::set_metrics_enabled(true);
-    serve::JobResult cold, warm;
-    const auto snap0 = telemetry::metrics_snapshot();
-    const double cold_s = wall([&] {
-      const std::uint64_t id = sched.submit(js);
-      if (!sched.wait(id, 600.0)) return;
-      cold = sched.fetch(id);
-    });
-    const auto snap1 = telemetry::metrics_snapshot();
-    const double warm_s = wall([&] {
-      const std::uint64_t id = sched.submit(js);
-      if (!sched.wait(id, 600.0)) return;
-      warm = sched.fetch(id);
-    });
-    const auto snap2 = telemetry::metrics_snapshot();
-    telemetry::set_metrics_enabled(metrics_was);
-    sched.stop(false);
-
-    using telemetry::Counter;
-    const auto cold_d = telemetry::metrics_delta(snap0, snap1);
-    const auto warm_d = telemetry::metrics_delta(snap1, snap2);
-    const std::uint64_t warm_hits = warm_d.counter(Counter::artifact_hits);
-    const std::uint64_t warm_compiles =
-        warm_d.counter(Counter::kernel_compiles);
-    const std::uint64_t warm_tables =
-        warm_d.counter(Counter::sector_table_builds);
-    // Gate 2a: the warm pass is served from cache — hits recorded, nothing
-    // rebuilt. (Sanity on the cold side: it must have actually built.)
-    if (cold_d.counter(Counter::artifact_misses) == 0 || warm_hits == 0 ||
-        warm_compiles != 0 || warm_tables != 0) {
-      std::fprintf(stderr,
-                   "error: serve_batch warm-cache gate failed (cold misses "
-                   "%llu, warm hits %llu compiles %llu table builds %llu)\n",
-                   static_cast<unsigned long long>(
-                       cold_d.counter(Counter::artifact_misses)),
-                   static_cast<unsigned long long>(warm_hits),
-                   static_cast<unsigned long long>(warm_compiles),
-                   static_cast<unsigned long long>(warm_tables));
-      return 1;
-    }
-    // Gate 2b: warm solve bit-identical to cold — both are full fresh
-    // solves of the same deterministic trajectory, so the entire history
-    // must match, not just the converged values.
-    const auto same = [](const std::vector<double>& a,
-                         const std::vector<double>& b) {
-      return a.size() == b.size() &&
-             (a.empty() || std::memcmp(a.data(), b.data(),
-                                       a.size() * sizeof(double)) == 0);
-    };
-    if (!cold.converged || !warm.converged ||
-        !same(cold.eigenvalues, warm.eigenvalues) ||
-        !same(cold.residuals, warm.residuals) ||
-        !same(cold.residual_history, warm.residual_history) ||
-        cold.matvecs != warm.matvecs || cold.iterations != warm.iterations) {
-      std::fprintf(stderr,
-                   "error: serve_batch warm solve is not bit-identical to "
-                   "cold (E0 %.17g vs %.17g, matvecs %llu vs %llu)\n",
-                   cold.eigenvalues.empty() ? 0.0 : cold.eigenvalues[0],
-                   warm.eigenvalues.empty() ? 0.0 : warm.eigenvalues[0],
-                   static_cast<unsigned long long>(cold.matvecs),
-                   static_cast<unsigned long long>(warm.matvecs));
-      return 1;
-    }
-
     std::printf("serve_batch          n=%zu sector_dim=%zu K=%zu "
-                "batched=%.3fs sequential=%.3fs %.2fx (gate %.1fx) "
-                "warm hits=%llu cold=%.3fs warm=%.3fs\n",
+                "batched=%.3fs sequential=%.3fs %.2fx (gate %.1fx)\n",
                 n, basis.dim(), k_obs, batched_s, sequential_s, batch_speedup,
-                speedup_gate, static_cast<unsigned long long>(warm_hits),
-                cold_s, warm_s);
+                speedup_gate);
     results.push_back(
         {"serve_batch",
          {{"num_qubits", static_cast<double>(n)},
@@ -1926,15 +1838,7 @@ int main(int argc, char** argv) {
           {"sequential_seconds", sequential_s},
           {"batch_speedup", batch_speedup},
           {"gate_batch_speedup", speedup_gate},
-          {"batch_matvecs", static_cast<double>(batched.matvecs)},
-          {"cold_submit_seconds", cold_s},
-          {"warm_submit_seconds", warm_s},
-          {"warm_artifact_hits", static_cast<double>(warm_hits)},
-          {"warm_kernel_compiles", static_cast<double>(warm_compiles)},
-          {"warm_sector_table_builds", static_cast<double>(warm_tables)},
-          {"ground_energy", cold.eigenvalues.empty() ? 0.0
-                                                     : cold.eigenvalues[0]},
-          {"solver_matvecs", static_cast<double>(cold.matvecs)}}});
+          {"batch_matvecs", static_cast<double>(batched.matvecs)}}});
     return 0;
   }});
 

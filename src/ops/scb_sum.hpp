@@ -31,9 +31,8 @@
 namespace gecos {
 
 /// Shared compiled-kernel cache for ScbSum. Hoisted out of the sum itself
-/// (ROADMAP item 3 / the serving layer's artifact cache) so copies of an
-/// unmutated sum — and cached Hamiltonians handed out by gecosd — share one
-/// set of compiled TermKernels instead of each recompiling. The mutex
+/// so copies of an unmutated sum share one set of compiled TermKernels
+/// instead of each recompiling. The mutex
 /// guards the lazy rebuild; after the rebuild the kernels are immutable, so
 /// any number of threads can apply concurrently.
 struct ScbKernelCache {
@@ -130,13 +129,6 @@ class ScbSum : public LinearOperator {
   /// concurrently with application is not, as usual).
   void apply_add(std::span<const cplx> x, std::span<cplx> y,
                  cplx scale) const override;
-
-  /// True when this sum and o currently share one compiled-kernel cache
-  /// (i.e. they are copies with no intervening mutation). Diagnostic for
-  /// the cache tests and the serve artifact layer.
-  bool shares_kernel_cache(const ScbSum& o) const {
-    return kcache_ != nullptr && kcache_ == o.kcache_;
-  }
 
   /// Deterministic " + "-joined text form ("0" for the empty sum).
   std::string str() const;

@@ -73,12 +73,12 @@ ScbSum build_observable(const HubbardParams& p, const ObservableSpec& obs) {
 BatchResult run_observable_batch(
     const SectorOperator& h, const SectorVector& psi0, double dt,
     std::size_t steps,
-    std::span<const std::shared_ptr<const SectorOperator>> observables,
+    std::span<const SectorOperator> observables,
     double krylov_tol, const telemetry::ProgressFn& progress) {
   if (steps == 0)
     throw std::invalid_argument("run_observable_batch: steps must be >= 1");
-  for (const auto& obs : observables)
-    if (obs == nullptr || !(obs->basis() == h.basis()))
+  for (const SectorOperator& obs : observables)
+    if (!(obs.basis() == h.basis()))
       throw std::invalid_argument(
           "run_observable_batch: observable sector mismatch");
   KrylovOptions ko;
@@ -101,8 +101,8 @@ BatchResult run_observable_batch(
     out.times.push_back(dt * static_cast<double>(s + 1));
     const cplx overlap = psi0.inner(psi);
     out.loschmidt.push_back(std::norm(overlap));
-    for (const auto& obs : observables)
-      out.values.push_back(psi.expectation(*obs).real());
+    for (const SectorOperator& obs : observables)
+      out.values.push_back(psi.expectation(obs).real());
     if (progress) {
       telemetry::ProgressEvent ev;
       ev.phase = "serve.batch";

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -56,7 +55,7 @@ struct BatchResult {
 BatchResult run_observable_batch(
     const SectorOperator& h, const SectorVector& psi0, double dt,
     std::size_t steps,
-    std::span<const std::shared_ptr<const SectorOperator>> observables,
+    std::span<const SectorOperator> observables,
     double krylov_tol, const telemetry::ProgressFn& progress = {});
 
 }  // namespace gecos::serve

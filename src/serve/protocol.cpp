@@ -39,6 +39,44 @@ std::vector<double> get_doubles(PayloadReader& r) {
   return v;
 }
 
+// Lattice parameters in canonical field order (part of the spec encoding
+// and of the evolution key).
+void encode_lattice(PayloadWriter& w, const HubbardParams& p) {
+  w.put_u64(p.lx);
+  w.put_u64(p.ly);
+  w.put_f64(p.t);
+  w.put_f64(p.u);
+  w.put_f64(p.mu);
+  put_bool(w, p.periodic_x);
+  put_bool(w, p.periodic_y);
+  put_bool(w, p.spinful);
+}
+
+HubbardParams decode_lattice(PayloadReader& r) {
+  HubbardParams p;
+  p.lx = r.get_u64();
+  p.ly = r.get_u64();
+  p.t = r.get_f64();
+  p.u = r.get_f64();
+  p.mu = r.get_f64();
+  p.periodic_x = get_bool(r);
+  p.periodic_y = get_bool(r);
+  p.spinful = get_bool(r);
+  return p;
+}
+
+// Bytes of a kFetchOk reply whose result arrays are all empty: the message
+// type plus every fixed field and array length of encode_job_result().
+std::uint64_t empty_fetch_reply_bytes() {
+  static const std::uint64_t bytes = [] {
+    PayloadWriter w;
+    w.put_u32(static_cast<std::uint32_t>(MsgType::kFetchOk));
+    encode_job_result(w, JobResult{});
+    return static_cast<std::uint64_t>(w.bytes().size());
+  }();
+  return bytes;
+}
+
 // Exact read/write loops over a blocking socket, EINTR-restarted. Return
 // false on EOF (read) / error instead of throwing so callers choose the
 // message. Writes use MSG_NOSIGNAL: a peer that hung up is an EPIPE error
@@ -71,30 +109,6 @@ bool write_exact(int fd, const unsigned char* buf, std::size_t n) {
 }
 
 }  // namespace
-
-void encode_lattice(PayloadWriter& w, const HubbardParams& p) {
-  w.put_u64(p.lx);
-  w.put_u64(p.ly);
-  w.put_f64(p.t);
-  w.put_f64(p.u);
-  w.put_f64(p.mu);
-  put_bool(w, p.periodic_x);
-  put_bool(w, p.periodic_y);
-  put_bool(w, p.spinful);
-}
-
-HubbardParams decode_lattice(PayloadReader& r) {
-  HubbardParams p;
-  p.lx = r.get_u64();
-  p.ly = r.get_u64();
-  p.t = r.get_f64();
-  p.u = r.get_f64();
-  p.mu = r.get_f64();
-  p.periodic_x = get_bool(r);
-  p.periodic_y = get_bool(r);
-  p.spinful = get_bool(r);
-  return p;
-}
 
 void validate_job_spec(const JobSpec& spec) {
   const auto fail = [](const char* what) {
@@ -152,6 +166,16 @@ void validate_job_spec(const JobSpec& spec) {
     if (!(spec.w_max > spec.w_min)) fail("w_max must exceed w_min");
     if (spec.w_points < 2) fail("w_points must be >= 2");
   }
+  // The result must fit one kFetchOk frame; a larger one would run and then
+  // never be fetchable. Spectral results carry omega and A(omega), evolution
+  // results times, loschmidt and one value per step and observable.
+  const std::uint64_t doubles =
+      (kMaxFrameBytes - empty_fetch_reply_bytes()) / sizeof(double);
+  if (spec.kind == JobKind::kSpectral && spec.w_points > doubles / 2)
+    fail("w_points: result exceeds the reply frame limit");
+  if ((spec.kind == JobKind::kQuench || spec.kind == JobKind::kExpectation) &&
+      spec.steps > doubles / (2 + spec.observables.size()))
+    fail("steps x observables: result exceeds the reply frame limit");
 }
 
 void encode_job_spec(PayloadWriter& w, const JobSpec& spec) {

@@ -107,7 +107,7 @@ struct ObservableSpec {
 
 /// The one request schema for every job kind. Fields irrelevant to a kind
 /// keep their defaults and still participate in job_key() — a canonical
-/// spec is its own cache key.
+/// spec is its own key.
 struct JobSpec {
   JobKind kind = JobKind::kGroundState;  ///< what to compute
   HubbardParams lattice;                 ///< the lattice to build H from
@@ -169,7 +169,10 @@ struct JobStatus {
   std::string error_message;  ///< human message when state == kFailed
 };
 
-/// Daemon-side aggregate counters, served by kStats.
+/// Daemon-side aggregate counters, served by kStats. The five cache_*
+/// fields are reserved: gecosd keeps no cross-job cache, so they always
+/// read 0, and they stay in the frame so existing readers of kStats (the
+/// benchmark among them) keep decoding it.
 struct ServerStats {
   std::uint64_t submitted = 0;     ///< jobs accepted
   std::uint64_t completed = 0;     ///< jobs reaching kDone
@@ -177,24 +180,21 @@ struct ServerStats {
   std::uint64_t cancelled = 0;     ///< jobs reaching kCancelled
   std::uint64_t batch_passes = 0;  ///< coalesced evolution passes run
   std::uint64_t batched_jobs = 0;  ///< expectation jobs served by them
-  std::uint64_t cache_hits = 0;    ///< artifact-cache hits
-  std::uint64_t cache_misses = 0;  ///< artifact-cache builds
-  std::uint64_t cache_evictions = 0;  ///< artifact-cache LRU evictions
-  std::uint64_t cache_bytes = 0;   ///< artifact-cache resident bytes
-  std::uint64_t cache_entries = 0; ///< artifact-cache resident entries
+  std::uint64_t cache_hits = 0;       ///< reserved, always 0
+  std::uint64_t cache_misses = 0;     ///< reserved, always 0
+  std::uint64_t cache_evictions = 0;  ///< reserved, always 0
+  std::uint64_t cache_bytes = 0;      ///< reserved, always 0
+  std::uint64_t cache_entries = 0;    ///< reserved, always 0
   std::uint64_t queue_depth = 0;   ///< jobs waiting
   std::uint64_t running = 0;       ///< jobs on the executor now
 };
 
-/// Serializes lattice parameters canonically (shared by the spec encoding
-/// and the artifact-cache key hashes).
-void encode_lattice(PayloadWriter& w, const HubbardParams& p);
-/// Decodes lattice parameters written by encode_lattice().
-HubbardParams decode_lattice(PayloadReader& r);
-
 /// Validates a spec's structural invariants (lattice sizes, sector counts
-/// vs mode counts, per-kind field ranges, observable site indices). Throws
-/// Error{protocol} naming the offending field.
+/// vs mode counts, per-kind field ranges, observable site indices) and that
+/// its result fits one kFetchOk frame (spectral grids of 16 * w_points
+/// bytes, evolution trajectories of 8 * steps * (2 + observables) bytes,
+/// plus the fixed fields, within kMaxFrameBytes). Throws Error{protocol}
+/// naming the offending field.
 void validate_job_spec(const JobSpec& spec);
 
 /// Serializes a spec canonically (field order fixed; priority included
@@ -220,8 +220,8 @@ void encode_server_stats(PayloadWriter& w, const ServerStats& st);
 ServerStats decode_server_stats(PayloadReader& r);
 
 /// Content hash of a spec's canonical encoding with the priority field
-/// zeroed: the identity of the computed artifact. Equal keys mean a warm
-/// re-submit can reuse checkpoints, cache entries and terminal results.
+/// zeroed: the identity of the computed result. Equal keys mean a
+/// re-submit finds the same solver checkpoint.
 std::uint64_t job_key(const JobSpec& spec);
 
 /// Content hash of the evolution-defining subset (lattice, sector, dt,

@@ -1,7 +1,6 @@
 #include "serve/scheduler.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -39,20 +38,6 @@ std::uint64_t initial_occupation(const JobSpec& spec) {
              : hubbard_cdw_occupation(spec.lattice);
 }
 
-// Per-species particle counts of an occupation — the cached_sector_op key
-// for evolution/spectral jobs, chosen so the cached basis is exactly
-// hubbard_sector_of(lattice, occupation).
-std::pair<std::uint32_t, std::uint32_t> sector_counts(const HubbardParams& p,
-                                                      std::uint64_t occ) {
-  if (!p.spinful)
-    return {static_cast<std::uint32_t>(std::popcount(occ)), 0};
-  const auto count = [&](int spin) {
-    return static_cast<std::uint32_t>(
-        std::popcount(occ & hubbard_species_mask(p, spin)));
-  };
-  return {count(0), count(1)};
-}
-
 void fill_ground_state(JobResult& out, const LanczosResult& res) {
   out.kind = JobKind::kGroundState;
   out.eigenvalues = res.eigenvalues;
@@ -66,8 +51,7 @@ void fill_ground_state(JobResult& out, const LanczosResult& res) {
 
 }  // namespace
 
-Scheduler::Scheduler(SchedulerOptions opts)
-    : opts_(std::move(opts)), cache_(opts_.cache_bytes) {
+Scheduler::Scheduler(SchedulerOptions opts) : opts_(std::move(opts)) {
   if (!opts_.state_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(opts_.state_dir, ec);
@@ -170,27 +154,18 @@ bool Scheduler::wait(std::uint64_t id, double timeout_s) const {
 }
 
 ServerStats Scheduler::stats() const {
+  std::unique_lock<std::mutex> lk(mutex_);
   ServerStats st;
-  {
-    std::unique_lock<std::mutex> lk(mutex_);
-    st.submitted = submitted_;
-    st.completed = completed_;
-    st.failed = failed_;
-    st.cancelled = cancelled_;
-    st.batch_passes = batch_passes_;
-    st.batched_jobs = batched_jobs_;
-    for (const auto& [id, job] : jobs_) {
-      if (job.state == JobState::kQueued) ++st.queue_depth;
-      if (job.state == JobState::kRunning) ++st.running;
-    }
+  st.submitted = submitted_;
+  st.completed = completed_;
+  st.failed = failed_;
+  st.cancelled = cancelled_;
+  st.batch_passes = batch_passes_;
+  st.batched_jobs = batched_jobs_;
+  for (const auto& [id, job] : jobs_) {
+    if (job.state == JobState::kQueued) ++st.queue_depth;
+    if (job.state == JobState::kRunning) ++st.running;
   }
-  // Cache counters come from the cache's own lock; the scheduler lock is
-  // released first so the two mutexes never nest.
-  st.cache_hits = cache_.hits();
-  st.cache_misses = cache_.misses();
-  st.cache_evictions = cache_.evictions();
-  st.cache_bytes = cache_.resident_bytes();
-  st.cache_entries = cache_.resident_entries();
   return st;
 }
 
@@ -338,13 +313,10 @@ void Scheduler::run_ground_state(const JobSpec& spec, std::uint64_t id,
     fill_ground_state(out, res != nullptr ? *res : solver.solve());
   };
   if (spec.use_sector) {
-    // The shared_ptr pins the cache entry for the whole solve.
-    const auto h =
-        cached_sector_op(cache_, spec.lattice, spec.n_up, spec.n_down);
-    run(*h);
+    run(SectorOperator(hubbard_sector(spec.lattice, spec.n_up, spec.n_down),
+                       hubbard_scb(spec.lattice)));
   } else {
-    const auto h = cached_hubbard(cache_, spec.lattice);
-    run(*h);
+    run(hubbard_scb(spec.lattice));
   }
   if (!ck.empty()) remove_checkpoint(ck);
 }
@@ -379,16 +351,15 @@ void Scheduler::run_evolution_batch(const std::vector<std::uint64_t>& ids) {
     }
   }
 
-  const auto [n_up, n_down] = sector_counts(p, occ);
-  const auto h = cached_sector_op(cache_, p, n_up, n_down);
-  std::vector<std::shared_ptr<const SectorOperator>> obs_ops;
+  const SectorOperator h(hubbard_sector_of(p, occ), hubbard_scb(p));
+  std::vector<SectorOperator> obs_ops;
   obs_ops.reserve(combined.size());
   for (const ObservableSpec& o : combined)
-    obs_ops.push_back(cached_observable(cache_, p, n_up, n_down, o));
-  const SectorVector psi0 = SectorVector::config_state(h->basis(), occ);
+    obs_ops.emplace_back(h.basis(), build_observable(p, o));
+  const SectorVector psi0 = SectorVector::config_state(h.basis(), occ);
 
   const BatchResult br = run_observable_batch(
-      *h, psi0, lead.dt, static_cast<std::size_t>(lead.steps), obs_ops,
+      h, psi0, lead.dt, static_cast<std::size_t>(lead.steps), obs_ops,
       lead.tol, progress_for(ids.front(), /*cancel_throws=*/false));
 
   if (ids.size() > 1) {
@@ -416,19 +387,18 @@ void Scheduler::run_spectral(const JobSpec& spec, std::uint64_t id,
                              JobResult& out) {
   const HubbardParams& p = spec.lattice;
   const std::uint64_t occ = initial_occupation(spec);
-  const auto [n_up, n_down] = sector_counts(p, occ);
-  const auto h = cached_sector_op(cache_, p, n_up, n_down);
-  const SectorVector psi0 = SectorVector::config_state(h->basis(), occ);
+  const SectorOperator h(hubbard_sector_of(p, occ), hubbard_scb(p));
+  const SectorVector psi0 = SectorVector::config_state(h.basis(), occ);
 
   SpectralFunctionOptions so;
   so.max_moments = static_cast<std::size_t>(spec.max_moments);
   so.progress = progress_for(id, /*cancel_throws=*/true);
-  SpectralFunction sf(*h, so);
+  SpectralFunction sf(h, so);
   std::size_t moments = 0;
   if (!spec.observables.empty()) {
-    const auto probe =
-        cached_observable(cache_, p, n_up, n_down, spec.observables.front());
-    moments = sf.build(*probe, psi0.amps());
+    const SectorOperator probe(
+        h.basis(), build_observable(p, spec.observables.front()));
+    moments = sf.build(probe, psi0.amps());
   } else {
     moments = sf.build(psi0.amps());
   }

@@ -5,7 +5,10 @@
 // is a thin protocol shim over it). One executor thread drains a priority
 // queue (higher priority first, submission order within a priority); the
 // solvers themselves parallelize through the existing thread pool, so one
-// job at a time saturates the machine and jobs never fight over it.
+// job at a time saturates the machine and jobs never fight over it. Each
+// job compiles its own Hamiltonian, sector operator and observables from
+// the lattice and frees them when it ends: a compile costs 1-4% of the run
+// that uses it, so no object outlives its job.
 //
 // Durability rides entirely on src/io/: every submitted job is journaled
 // to `<state_dir>/job_<id>.job` (PayloadKind::kServeJob) at accept time
@@ -39,7 +42,6 @@
 #include <thread>
 #include <vector>
 
-#include "serve/artifact_cache.hpp"
 #include "serve/protocol.hpp"
 #include "telemetry/progress.hpp"
 
@@ -50,8 +52,6 @@ struct SchedulerOptions {
   /// Directory for job journals and solver checkpoints; empty disables
   /// persistence entirely (jobs die with the process). Created if absent.
   std::string state_dir;
-  /// Artifact-cache idle-byte budget (see ArtifactCache).
-  std::size_t cache_bytes = std::size_t{512} << 20;
   /// Scan state_dir at construction and re-enqueue non-terminal jobs.
   bool resume_jobs = true;
   /// Start the executor thread immediately. false lets tests enqueue a
@@ -59,11 +59,11 @@ struct SchedulerOptions {
   bool autostart = true;
 };
 
-/// Priority job queue + executor + artifact cache + durable job journal.
+/// Priority job queue + executor + durable job journal.
 class Scheduler {
  public:
-  /// Builds the cache, loads/resumes journaled jobs when state_dir is set,
-  /// and (unless autostart is off) starts the executor thread.
+  /// Loads/resumes journaled jobs when state_dir is set and (unless
+  /// autostart is off) starts the executor thread.
   explicit Scheduler(SchedulerOptions opts = {});
   /// Stops the executor (abandoning a running job back to the queue
   /// journal, checkpoint intact) and joins it.
@@ -96,11 +96,9 @@ class Scheduler {
   /// when terminal. Throws Error{not_found}.
   bool wait(std::uint64_t id, double timeout_s) const;
 
-  /// Aggregate counters (queue depth, batch passes, cache totals).
+  /// Aggregate counters (job totals, queue depth, batch passes); the
+  /// reserved cache fields read 0.
   ServerStats stats() const;
-
-  /// The artifact cache (shared with in-process callers like the bench).
-  ArtifactCache& cache() { return cache_; }
 
   /// Starts the executor thread if not running (autostart=false path).
   void start();
@@ -157,7 +155,6 @@ class Scheduler {
   void requeue(std::uint64_t id);
 
   SchedulerOptions opts_;
-  ArtifactCache cache_;
   mutable std::mutex mutex_;
   mutable std::condition_variable cv_;       // job state transitions
   std::condition_variable work_cv_;          // queue/not-stopping changes

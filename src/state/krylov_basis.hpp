@@ -12,7 +12,10 @@
 // (thick-restart contraction, Ritz-vector recovery). All inner loops route
 // through the parallel BLAS-1 / SIMD kernels; nothing here allocates after
 // construction, which is what makes solver iterations allocation-free after
-// warm-up.
+// warm-up. Destroying a block of 16 MiB or more returns its pages to the
+// kernel before the block goes back to the heap, so a freed basis never
+// stays resident while the next one is placed elsewhere (DESIGN.md "Krylov
+// solver layer").
 #pragma once
 
 #include <cstddef>
@@ -30,6 +33,16 @@ class KrylovBasis {
   /// class ever performs). Throws std::invalid_argument on a zero size and
   /// Error{dim_mismatch} when the product overflows or cannot be allocated.
   KrylovBasis(std::size_t dim, std::size_t capacity);
+  /// Blocks of at least this many bytes return their pages to the kernel
+  /// on destruction (one n = 20 statevector).
+  static constexpr std::size_t kReleaseBytes = std::size_t{16} << 20;
+
+  /// Returns the whole pages of a block of at least kReleaseBytes to the
+  /// kernel, then frees the block.
+  ~KrylovBasis();
+
+  KrylovBasis(const KrylovBasis&) = delete;             ///< one owner
+  KrylovBasis& operator=(const KrylovBasis&) = delete;  ///< one owner
 
   /// Amplitude count per vector and number of preallocated slots.
   std::size_t dim() const { return dim_; }

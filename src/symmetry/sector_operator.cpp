@@ -117,11 +117,16 @@ void SectorOperator::compile(const ScbSum& h) {
   // canonical word cost one TermKernel mask compilation.
   telemetry::count(telemetry::Counter::kernel_compiles, num_kernels_);
 
-  // Fetch the shared rank -> configuration table (one enumeration walk per
-  // sector process-wide) and fuse every diagonal word into one per-rank
-  // coefficient, summed in word order.
-  configs_ = shared_config_table(basis_);
-  const std::uint64_t* const cfgs = configs_->data();
+  // The rank -> configuration table (one enumeration walk, freed on
+  // return) drives the passes below. Fuse every diagonal word into one
+  // per-rank coefficient, summed in word order.
+  std::vector<std::uint64_t> configs(d);
+  std::uint64_t next = basis_.first_config();
+  for (std::uint64_t& c : configs) {
+    c = next;
+    next = basis_.next_config(next);
+  }
+  const std::uint64_t* const cfgs = configs.data();
   if (!diagonal.empty()) {
     diag_.assign(d, cplx(0.0));
     parallel_for(d, [&](std::size_t lo, std::size_t hi, int) {
@@ -190,13 +195,6 @@ void SectorOperator::compile(const ScbSum& h) {
       }
     }
   });
-}
-
-std::size_t SectorOperator::memory_bytes() const {
-  return row_start_.size() * sizeof(std::uint64_t) +
-         row_start_.back() * sizeof(Entry) +
-         (diag_.size() + coeffs_.size()) * sizeof(cplx) +
-         configs_->size() * sizeof(std::uint64_t);
 }
 
 std::uint64_t SectorOperator::apply_bytes() const {

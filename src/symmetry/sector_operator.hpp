@@ -28,9 +28,11 @@
 // r lists, in word order, the source rank rank(cfg_r ^ flip) of every hop
 // word whose selection that source satisfies, each entry a uint32 rank plus
 // a uint32 index into the signed coefficient table {+base_j, -base_j}. The
-// n = 20 (5,5) Hubbard sector (dim 63,504, 60 hop words) stores 16.7 entries
-// per row, 10.5 MB in all with the diagonal and the config table; the
-// n = 32 (3,3) sector (dim 313,600, 96 hop words) 15.6 per row, 49 MB.
+// rank -> configuration table that drives the compile is a local, freed when
+// construction returns. The n = 20 (5,5) Hubbard sector (dim 63,504, 60 hop
+// words) stores 16.7 entries per row, 10.0 MB in all with the row offsets
+// and the diagonal; the n = 32 (3,3) sector (dim 313,600, 96 hop words)
+// 15.6 per row, 46.7 MB.
 //
 // apply_add is one parallel row gather, y_r += scale * (d_r x_r +
 // sum_e c[e] x[col_e]): each thread writes only its own output rows, so the
@@ -46,7 +48,6 @@
 #include "ops/linear_op.hpp"
 #include "ops/pauli.hpp"
 #include "ops/scb_sum.hpp"
-#include "symmetry/config_table.hpp"
 #include "symmetry/sector_basis.hpp"
 
 namespace gecos {
@@ -76,20 +77,10 @@ class SectorOperator : public LinearOperator {
   /// and canceling branches merge away, so this can differ from the input
   /// term count).
   std::size_t num_kernels() const { return num_kernels_; }
-  /// Bytes this operator holds: the row offsets, entries, fused diagonal,
-  /// coefficient table and the shared rank -> configuration table (counted
-  /// in full although equal sectors share it).
-  std::size_t memory_bytes() const;
   /// Modelled traffic of one apply_add in bytes (a model, not a
   /// measurement): per row the offset, the y read-modify-write and, with a
   /// diagonal, d_r and x_r; per entry the entry and the x gather.
   std::uint64_t apply_bytes() const;
-  /// True when this operator and o hold the same shared rank -> config
-  /// table (equal sectors, table still live when the later one compiled).
-  /// Diagnostic for the cache tests and the serve artifact layer.
-  bool shares_config_table(const SectorOperator& o) const {
-    return configs_ != nullptr && configs_ == o.configs_;
-  }
 
   /// Two-argument accumulate and overwriting apply from the base class.
   using LinearOperator::apply_add;
@@ -112,9 +103,6 @@ class SectorOperator : public LinearOperator {
 
   SectorBasis basis_;
   std::size_t num_kernels_ = 0;
-  // Shared rank -> configuration table from the process-wide registry
-  // (symmetry/config_table.hpp): equal sectors share one table.
-  std::shared_ptr<const ConfigTable> configs_;
   std::vector<cplx> diag_;                // fused diagonal (empty if none)
   std::vector<cplx> coeffs_;              // [2j] = +base_j, [2j+1] = -base_j
   std::vector<std::uint64_t> row_start_;  // dim + 1 offsets into entries_

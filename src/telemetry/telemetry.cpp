@@ -172,16 +172,6 @@ const char* counter_name(Counter c) {
       return "spans_dropped";
     case Counter::kernel_compiles:
       return "kernel_compiles";
-    case Counter::sector_table_builds:
-      return "sector_table_builds";
-    case Counter::sector_table_hits:
-      return "sector_table_hits";
-    case Counter::artifact_hits:
-      return "artifact_hits";
-    case Counter::artifact_misses:
-      return "artifact_misses";
-    case Counter::artifact_evictions:
-      return "artifact_evictions";
     case Counter::jobs_submitted:
       return "jobs_submitted";
     case Counter::jobs_completed:

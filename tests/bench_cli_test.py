@@ -5,6 +5,7 @@ Pins the argument-handling policy the CI pipeline and the serve-layer job
 workspaces depend on:
 
   * unknown flags and missing flag arguments exit 2 with a usage message,
+  * --threads takes an integer in [1, 1024]; anything else exits 2,
   * an unwritable --out path fails FAST (the writability probe runs before
     any timed entry, so a typo'd path cannot waste a full bench run),
   * a valid --only + --out run exits 0 and writes a parseable JSON report
@@ -56,6 +57,15 @@ def main():
     r = run([bench, "--out"])
     check("--out without arg exits 2", r.returncode == 2, f"rc={r.returncode}")
     check("--out error names the flag", "--out" in r.stderr, r.stderr[:200])
+
+    # --threads is parsed strictly: trailing junk and 0 are flag errors,
+    # not a silent 4 or a clamp to 1.
+    for bad in ("4x", "0"):
+        r = run([bench, "--threads", bad, "--list"], timeout=60)
+        check(f"--threads {bad} exits 2", r.returncode == 2,
+              f"rc={r.returncode}")
+        check(f"--threads {bad} error names the flag",
+              "--threads" in r.stderr and bad in r.stderr, r.stderr[:200])
 
     # Unwritable --out: the probe rejects it before any timed work, so this
     # must come back in seconds, not bench-run minutes.

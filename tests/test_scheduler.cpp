@@ -1,11 +1,13 @@
 // Scheduler suite: deterministic results across scheduler instances,
-// priority ordering under a busy executor, observable batching (one Krylov
-// pass for K coalesced expectation jobs, bitwise equal to sequential runs),
-// cooperative cancel, runtime-failure kind propagation, abandon-and-resume
-// through the job journal + solver checkpoint, terminal-result persistence
-// across a process-lifetime boundary (simulated by a fresh Scheduler on the
-// same state dir with the executor never started), and the fresh-solve
-// fallback for a checkpoint of another reorthogonalization policy.
+// full-space ground-state and spectral jobs bitwise equal to the same
+// solvers run in-process, priority ordering under a busy executor,
+// observable batching (one Krylov pass for K coalesced expectation jobs,
+// bitwise equal to sequential runs), cooperative cancel, runtime-failure
+// kind propagation, abandon-and-resume through the job journal + solver
+// checkpoint, terminal-result persistence across a process-lifetime
+// boundary (simulated by a fresh Scheduler on the same state dir with the
+// executor never started), and the fresh-solve fallback for a checkpoint
+// of another reorthogonalization policy.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -16,9 +18,12 @@
 
 #include "fermion/hubbard.hpp"
 #include "io/checkpoint.hpp"
+#include "serve/batch.hpp"
 #include "serve/scheduler.hpp"
 #include "solver/lanczos.hpp"
+#include "spectral/continued_fraction.hpp"
 #include "symmetry/sector_operator.hpp"
+#include "symmetry/sector_vector.hpp"
 #include "test_util.hpp"
 #include "util/parallel.hpp"
 
@@ -111,6 +116,69 @@ int main() {
     small_ref = r1;
     s1.stop(false);
     s2.stop(false);
+  }
+
+  // -- full-space ground state: bitwise equal to an in-process Lanczos -----
+  {
+    JobSpec spec = small_ground();
+    spec.use_sector = false;  // the 2^12 full space of the 3x2 lattice
+    Scheduler sched;
+    const std::uint64_t id = sched.submit(spec);
+    CHECK(sched.wait(id, 600.0));
+    const JobResult r = sched.fetch(id);
+    const ScbSum h = hubbard_scb(spec.lattice);
+    LanczosOptions lo;  // the scheduler's options for this spec
+    lo.k = spec.num_eigenpairs;
+    lo.tol = spec.tol;
+    lo.max_matvecs = static_cast<std::size_t>(spec.max_matvecs);
+    lo.seed = spec.seed;
+    lo.compute_vectors = false;
+    Lanczos solver(h, lo);
+    const LanczosResult& ref = solver.solve();
+    CHECK(r.converged && ref.converged);
+    CHECK(bitwise_equal(r.eigenvalues, ref.eigenvalues));
+    CHECK(bitwise_equal(r.residuals, ref.residuals));
+    CHECK(bitwise_equal(r.residual_history, ref.residual_history));
+    CHECK_EQ(r.matvecs, static_cast<std::uint64_t>(ref.matvecs));
+    CHECK_EQ(r.iterations, static_cast<std::uint64_t>(ref.iterations));
+    // The full space holds sectors below the half-filled one at mu = 0.5.
+    CHECK(r.eigenvalues[0] <= small_ref.eigenvalues[0] + 1e-10);
+    sched.stop(false);
+  }
+
+  // -- spectral job: bitwise equal to an in-process SpectralFunction --------
+  {
+    JobSpec spec = small_ground();
+    spec.kind = JobKind::kSpectral;
+    spec.observables = {{ObservableKind::kDensity, 0, 0}};  // the probe
+    spec.max_moments = 48;
+    spec.w_points = 65;
+    Scheduler sched;
+    const std::uint64_t id = sched.submit(spec);
+    CHECK(sched.wait(id, 600.0));
+    const JobResult r = sched.fetch(id);
+
+    const HubbardParams& p = spec.lattice;
+    const std::uint64_t occ = hubbard_cdw_occupation(p);
+    const SectorOperator h(hubbard_sector_of(p, occ), hubbard_scb(p));
+    const SectorOperator probe(h.basis(),
+                               build_observable(p, spec.observables[0]));
+    const SectorVector psi0 = SectorVector::config_state(h.basis(), occ);
+    SpectralFunctionOptions so;
+    so.max_moments = static_cast<std::size_t>(spec.max_moments);
+    SpectralFunction sf(h, so);
+    const std::size_t moments = sf.build(probe, psi0.amps());
+    std::vector<double> omega(spec.w_points);
+    const double dw = (spec.w_max - spec.w_min) /
+                      static_cast<double>(spec.w_points - 1);
+    for (std::size_t i = 0; i < omega.size(); ++i)
+      omega[i] = spec.w_min + dw * static_cast<double>(i);
+    std::vector<double> spectral(spec.w_points);
+    sf.evaluate(omega, spec.eta, spectral);
+    CHECK_EQ(r.iterations, static_cast<std::uint64_t>(moments));
+    CHECK(bitwise_equal(r.omega, omega));
+    CHECK(bitwise_equal(r.spectral, spectral));
+    sched.stop(false);
   }
 
   // -- priority: a high-priority late arrival overtakes the queue -----------

@@ -5,11 +5,13 @@
 // projected sector matrix per sector, (3) imaginary-time projection agrees
 // with sector Lanczos, (4) sector KrylovEvolver == full-space KrylovEvolver
 // on embedded states, (5) warm sector Lanczos re-solves allocate nothing,
-// (6) KrylovBasis::reset repartitioning, and (7) KrylovBasis::
+// (6) KrylovBasis::reset repartitioning, (7) KrylovBasis::
 // combine_in_place bitwise equal to accumulate() at 1 and 4 threads on
-// every SIMD tier the host has.
+// every SIMD tier the host has, and (8) a basis large enough to release its
+// pages on destruction comes back zero-filled when built again.
 #include "alloc_probe.hpp"  // first: replaces global operator new
 // clang-format off
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -248,6 +250,24 @@ int main() {
     CHECK_EQ(kb.dim(), std::size_t{64});
     for (std::size_t j = 0; j < 4; ++j)
       for (const cplx& a : kb.vec(j)) CHECK(a == cplx(0.0));
+  }
+
+  // -- a basis of at least kReleaseBytes releases its pages when destroyed --
+  // The destructor tells the kernel to drop the block's whole pages before
+  // freeing it; a basis built afterwards must still read all zeros.
+  {
+    const std::size_t dim = std::size_t{1} << 16;  // 1 MiB per vector
+    const std::size_t cap =
+        KrylovBasis::kReleaseBytes / (dim * sizeof(cplx)) + 1;
+    for (int round = 0; round < 2; ++round) {
+      KrylovBasis kb(dim, cap);
+      for (std::size_t j = 0; j < cap; ++j) {
+        const std::span<cplx> v = kb.vec(j);
+        CHECK(std::all_of(v.begin(), v.end(),
+                          [](const cplx& a) { return a == cplx(0.0); }));
+        std::fill(v.begin(), v.end(), cplx(1.0, -1.0));
+      }
+    }
   }
 
   // -- KrylovBasis::combine_in_place: the thick-restart contraction is the

@@ -1,5 +1,6 @@
 // Serve-protocol suite: ErrorKind wire names, encode/decode round trips
 // for every payload schema (bitwise doubles), job/evolution key semantics,
+// spec validation including results too large for one reply frame,
 // framed socket IO including truncation and oversize rejection, the error
 // frame round trip, and a live in-process Server + Client integration over
 // a real unix-domain socket (submit / status / fetch / cancel / stats /
@@ -320,6 +321,78 @@ int main() {
     validate_job_spec(tiny_ground());  // and a good one passes
   }
 
+  // -- validate_job_spec: the fetch reply must fit one frame ----------------
+  // A result larger than kMaxFrameBytes would run and then never be
+  // fetchable. Only specs are validated here, so nothing large is built.
+  {
+    PayloadWriter empty;
+    empty.put_u32(static_cast<std::uint32_t>(MsgType::kFetchOk));
+    encode_job_result(empty, JobResult{});
+    const std::size_t fixed = empty.bytes().size();
+    // The bound's model: a spectral reply adds 16 bytes per grid point and
+    // an evolution reply 8 bytes per step and array (times, loschmidt and
+    // one per observable).
+    {
+      JobResult r;
+      r.omega.assign(33, 0.0);
+      r.spectral.assign(33, 0.0);
+      PayloadWriter w;
+      w.put_u32(static_cast<std::uint32_t>(MsgType::kFetchOk));
+      encode_job_result(w, r);
+      CHECK_EQ(w.bytes().size(), fixed + 16 * 33);
+      r = JobResult{};
+      r.times.assign(7, 0.0);
+      r.loschmidt.assign(7, 0.0);
+      r.values.assign(7 * 3, 0.0);
+      PayloadWriter w2;
+      w2.put_u32(static_cast<std::uint32_t>(MsgType::kFetchOk));
+      encode_job_result(w2, r);
+      CHECK_EQ(w2.bytes().size(), fixed + 8 * 7 * (2 + 3));
+    }
+    const std::uint64_t doubles = (kMaxFrameBytes - fixed) / sizeof(double);
+    const auto rejects = [](const JobSpec& s, const char* field) {
+      try {
+        validate_job_spec(s);
+      } catch (const Error& e) {
+        return e.kind() == ErrorKind::protocol &&
+               std::string(e.what()).find(field) != std::string::npos;
+      }
+      return false;
+    };
+
+    JobSpec spectral = tiny_ground();
+    spectral.kind = JobKind::kSpectral;
+    validate_job_spec(spectral);  // the default 201-point grid
+    spectral.w_points = doubles / 2;  // the largest grid that fits
+    validate_job_spec(spectral);
+    spectral.w_points = doubles / 2 + 1;
+    CHECK(rejects(spectral, "w_points"));
+    spectral.w_points = (std::uint64_t{1} << 24) + 1;
+    CHECK(rejects(spectral, "w_points"));
+    spectral.w_points = ~std::uint64_t{0};
+    CHECK(rejects(spectral, "w_points"));
+
+    JobSpec evolution = tiny_ground();
+    evolution.kind = JobKind::kExpectation;
+    evolution.steps = 100;
+    evolution.observables = {{ObservableKind::kDensity, 0, 0},
+                             {ObservableKind::kDoublon, 1, 0},
+                             {ObservableKind::kTotalNumber, 0, 0}};
+    validate_job_spec(evolution);
+    evolution.steps = doubles / 5;  // times, loschmidt, 3 observables
+    validate_job_spec(evolution);
+    evolution.steps = doubles / 5 + 1;
+    CHECK(rejects(evolution, "steps"));
+    evolution.kind = JobKind::kQuench;
+    evolution.observables.clear();
+    evolution.steps = doubles / 2;
+    validate_job_spec(evolution);
+    evolution.steps = doubles / 2 + 1;
+    CHECK(rejects(evolution, "steps"));
+    evolution.steps = ~std::uint64_t{0};
+    CHECK(rejects(evolution, "steps"));
+  }
+
   // -- framed IO over a socketpair ------------------------------------------
   {
     int fds[2];
@@ -408,10 +481,17 @@ int main() {
       CHECK(throws_kind(ErrorKind::not_found,
                         [&] { (void)client.cancel(999); }));
 
-      // An invalid spec is rejected at submit with a protocol error.
+      // An invalid spec is rejected at submit with a protocol error, and so
+      // is one whose result could never be fetched in one frame.
       CHECK(throws_kind(ErrorKind::protocol, [&] {
         JobSpec bad = tiny_ground();
         bad.lattice.lx = 0;
+        (void)client.submit(bad);
+      }));
+      CHECK(throws_kind(ErrorKind::protocol, [&] {
+        JobSpec bad = tiny_ground();
+        bad.kind = JobKind::kSpectral;
+        bad.w_points = (std::uint64_t{1} << 24) + 1;
         (void)client.submit(bad);
       }));
 

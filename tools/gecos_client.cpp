@@ -270,9 +270,7 @@ int main(int argc, char** argv) {
       std::printf(
           "jobs: submitted=%llu completed=%llu failed=%llu cancelled=%llu "
           "queued=%llu running=%llu\n"
-          "batching: passes=%llu jobs=%llu\n"
-          "cache: hits=%llu misses=%llu evictions=%llu entries=%llu "
-          "bytes=%llu\n",
+          "batching: passes=%llu jobs=%llu\n",
           static_cast<unsigned long long>(st.submitted),
           static_cast<unsigned long long>(st.completed),
           static_cast<unsigned long long>(st.failed),
@@ -280,12 +278,7 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(st.queue_depth),
           static_cast<unsigned long long>(st.running),
           static_cast<unsigned long long>(st.batch_passes),
-          static_cast<unsigned long long>(st.batched_jobs),
-          static_cast<unsigned long long>(st.cache_hits),
-          static_cast<unsigned long long>(st.cache_misses),
-          static_cast<unsigned long long>(st.cache_evictions),
-          static_cast<unsigned long long>(st.cache_entries),
-          static_cast<unsigned long long>(st.cache_bytes));
+          static_cast<unsigned long long>(st.batched_jobs));
       return 0;
     }
 

@@ -2,9 +2,9 @@
 //
 // Listens on a unix-domain socket, accepts ground-state / quench /
 // expectation / spectral jobs over the GECOSRV1 protocol and runs them on
-// one Scheduler executor: priority queue, observable batching, the
-// cross-request artifact cache, and durable job journals in --state-dir so
-// a killed daemon restarts with in-flight jobs resumed from their solver
+// one Scheduler executor: priority queue, observable batching, per-job
+// operator compilation, and durable job journals in --state-dir so a
+// killed daemon restarts with in-flight jobs resumed from their solver
 // checkpoints (bit-identically, for a fixed thread count — the property
 // tools/serve_smoke.cpp pins in CI). Submit and inspect jobs with
 // tools/gecos_client.cpp or any serve::Client.
@@ -14,11 +14,12 @@
 //                         short relative paths)
 //        --state-dir DIR  job journals + solver checkpoints (default
 //                         gecosd-state; empty string disables durability)
-//        --cache-mb N     artifact-cache idle budget in MiB (default 512)
-//        --threads K      worker threads for the solver kernels
+//        --threads K      worker threads for the solver kernels, an
+//                         integer in [1, 1024]
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "serve/scheduler.hpp"
@@ -29,8 +30,7 @@ namespace {
 
 int usage(const char* argv0, int code) {
   std::fprintf(stderr,
-               "usage: %s [--socket PATH] [--state-dir DIR] [--cache-mb N] "
-               "[--threads K]\n",
+               "usage: %s [--socket PATH] [--state-dir DIR] [--threads K]\n",
                argv0);
   return code;
 }
@@ -40,7 +40,6 @@ int usage(const char* argv0, int code) {
 int main(int argc, char** argv) {
   std::string socket_path = "gecosd.sock";
   std::string state_dir = "gecosd-state";
-  std::size_t cache_mb = 512;
   for (int i = 1; i < argc; ++i) {
     const auto need_value = [&](const char* flag) -> const char* {
       if (i + 1 >= argc) {
@@ -53,25 +52,16 @@ int main(int argc, char** argv) {
       socket_path = need_value("--socket");
     } else if (std::strcmp(argv[i], "--state-dir") == 0) {
       state_dir = need_value("--state-dir");
-    } else if (std::strcmp(argv[i], "--cache-mb") == 0) {
-      const char* v = need_value("--cache-mb");
-      char* end = nullptr;
-      const long mb = std::strtol(v, &end, 10);
-      if (end == v || *end != '\0' || mb < 0) {
-        std::fprintf(stderr, "%s: --cache-mb needs a non-negative count\n",
-                     argv[0]);
-        return 2;
-      }
-      cache_mb = static_cast<std::size_t>(mb);
     } else if (std::strcmp(argv[i], "--threads") == 0) {
       const char* v = need_value("--threads");
-      const int k = std::atoi(v);
-      if (k < 1) {
-        std::fprintf(stderr, "%s: --threads needs a positive count\n",
-                     argv[0]);
+      try {
+        gecos::set_num_threads(gecos::parse_threads_env(v));
+      } catch (const std::invalid_argument&) {
+        std::fprintf(stderr,
+                     "%s: --threads '%s': expected an integer in [1, 1024]\n",
+                     argv[0], v);
         return 2;
       }
-      gecos::set_num_threads(k);
     } else if (std::strcmp(argv[i], "--help") == 0 ||
                std::strcmp(argv[i], "-h") == 0) {
       return usage(argv[0], 0);
@@ -83,7 +73,6 @@ int main(int argc, char** argv) {
   try {
     gecos::serve::SchedulerOptions so;
     so.state_dir = state_dir;
-    so.cache_bytes = cache_mb << 20;
     gecos::serve::Scheduler scheduler(so);
     gecos::serve::Server server(scheduler, socket_path);
     std::fprintf(stderr, "gecosd: listening on %s (state dir %s)\n",

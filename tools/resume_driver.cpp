@@ -34,6 +34,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -118,7 +119,15 @@ bool parse(int argc, char** argv, Args& a) {
     } else if (f == "--threads") {
       const char* v = next();
       if (!v) return false;
-      a.threads = std::atoi(v);
+      try {
+        a.threads = parse_threads_env(v);
+      } catch (const std::invalid_argument&) {
+        std::fprintf(stderr,
+                     "resume_driver: --threads '%s': expected an integer in "
+                     "[1, 1024]\n",
+                     v);
+        return false;
+      }
     } else if (f == "--expected") {
       const char* v = next();
       if (!v) return false;

@@ -34,6 +34,7 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -146,14 +147,22 @@ int main(int argc, char** argv) {
     else if (std::strcmp(argv[i], "--dir") == 0) dir = need_value("--dir");
     else if (std::strcmp(argv[i], "--socket") == 0)
       socket = need_value("--socket");
-    else if (std::strcmp(argv[i], "--threads") == 0)
-      threads = std::atoi(need_value("--threads"));
-    else {
+    else if (std::strcmp(argv[i], "--threads") == 0) {
+      const char* v = need_value("--threads");
+      try {
+        threads = parse_threads_env(v);
+      } catch (const std::invalid_argument&) {
+        std::fprintf(stderr,
+                     "serve_smoke: --threads '%s': expected an integer in "
+                     "[1, 1024]\n",
+                     v);
+        return 2;
+      }
+    } else {
       std::fprintf(stderr, "serve_smoke: unknown argument '%s'\n", argv[i]);
       return 2;
     }
   }
-  if (threads < 1) threads = 1;
   set_num_threads(threads);
 
   std::error_code ec;
