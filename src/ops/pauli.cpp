@@ -206,9 +206,13 @@ void PauliSum::add_raw(const std::uint64_t* x, const std::uint64_t* z,
   while (true) {
     if (state_[idx] == kEmpty) {
       if (std::abs(coeff) <= tol) return;
-      std::uint64_t* slot = keys_.data() + idx * stride;
-      std::memcpy(slot, x, words_ * sizeof(std::uint64_t));
-      std::memcpy(slot + words_, z, words_ * sizeof(std::uint64_t));
+      // A zero-qubit sum has no key storage: keys_.data() may be null, and
+      // memcpy to a null pointer is undefined even for zero bytes.
+      if (words_ != 0) {
+        std::uint64_t* slot = keys_.data() + idx * stride;
+        std::memcpy(slot, x, words_ * sizeof(std::uint64_t));
+        std::memcpy(slot + words_, z, words_ * sizeof(std::uint64_t));
+      }
       coeffs_[idx] = coeff;
       state_[idx] = kLive;
       ++occupied_;

@@ -1,12 +1,12 @@
-// Legacy map-based Pauli layer, retained verbatim as the correctness and
-// benchmark reference for the packed symplectic engine (ops/packed.hpp).
+// Legacy map-based Pauli layer, retained verbatim as the correctness
+// reference for the packed symplectic engine (ops/packed.hpp).
 //
 // RefPauliSum is the pre-refactor PauliSum: std::map<PauliString, cplx> with
 // per-qubit Cayley-table products; ref_term_to_pauli is the pre-refactor
 // recursive expansion that allocated one std::vector<Scb> per emitted string.
-// BENCH_pauli.json speedups and the randomized agreement tests in
-// tests/test_packed.cpp and tests/test_pauli_sum.cpp are measured against
-// this implementation. Not a hot path: do not optimize.
+// The randomized agreement tests in tests/test_pauli_sum.cpp and
+// tests/test_conversion.cpp compare against this implementation. Not a hot
+// path: do not optimize.
 #pragma once
 
 #include <map>

@@ -17,8 +17,7 @@ ScbSum::ScbSum(std::size_t num_qubits)
 
 ScbSum::ScbSum(const ScbSum& o) : num_qubits_(o.num_qubits_), terms_(o.terms_) {
   // Share o's cache: the copy has identical terms, so one compilation
-  // serves both (the serving layer's whole point). A moved-from o has no
-  // cache; give the copy a fresh one.
+  // serves both. A moved-from o has no cache; give the copy a fresh one.
   kcache_ = o.kcache_ != nullptr ? o.kcache_
                                  : std::make_shared<ScbKernelCache>();
 }

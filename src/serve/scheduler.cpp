@@ -267,7 +267,7 @@ void Scheduler::run_job(std::uint64_t leader) {
     for (const std::uint64_t id : ids) finish_cancelled(id);
   } catch (const Error& e) {
     for (const std::uint64_t id : ids)
-      finish_failed(id, e.kind(), e.what());
+      finish_failed(id, e.kind(), e.message());
   } catch (const std::invalid_argument& e) {
     // validate_job_spec should have caught this at submit; a leak through
     // is still the requester's data, not solver state.

@@ -95,7 +95,7 @@ bool Server::handle_connection(int fd) {
       w.put_u32(kServeVersion);
       write_frame(fd, w.bytes());
     } catch (const Error& e) {
-      write_frame(fd, encode_error_frame(e.kind(), e.what()));
+      write_frame(fd, encode_error_frame(e.kind(), e.message()));
       return false;
     }
   }
@@ -174,7 +174,7 @@ std::vector<unsigned char> Server::handle_request(
     }
     return std::vector<unsigned char>(w.bytes().begin(), w.bytes().end());
   } catch (const Error& e) {
-    return encode_error_frame(e.kind(), e.what());
+    return encode_error_frame(e.kind(), e.message());
   } catch (const std::invalid_argument& e) {
     return encode_error_frame(ErrorKind::protocol, e.what());
   } catch (const std::exception& e) {

@@ -14,7 +14,7 @@
 // ("scalar" | "avx2" | "avx512", mirroring GECOS_THREADS); when unset, the
 // widest tier both compiled in AND supported by the host CPUID is picked.
 // Forcing a tier the host cannot run throws std::invalid_argument — loud
-// beats a SIGILL. bench_main exposes the same knob as --simd.
+// beats a SIGILL.
 //
 // Every tier computes BITWISE-IDENTICAL results for identical (pointer,
 // length) ranges: reductions accumulate into a fixed 8-double lane pattern
@@ -31,11 +31,11 @@
 namespace gecos {
 
 /// Dispatch tiers, narrowest to widest. Values are stable (used as array
-/// indices and recorded in BENCH_pauli.json's hw block).
+/// indices).
 enum class SimdTier { scalar = 0, avx2 = 1, avx512 = 2 };
 
 /// Human-readable tier name ("scalar" / "avx2" / "avx512"), the same
-/// spelling GECOS_SIMD and --simd accept.
+/// spelling GECOS_SIMD accepts.
 const char* simd_tier_name(SimdTier t);
 
 /// Parses a tier name; throws std::invalid_argument on anything else.

@@ -11,7 +11,7 @@
 // branch on an empty std::function.
 //
 // stderr_progress() builds the standard throttled human-readable reporter
-// (bench_main --progress and tools/resume_driver --progress use it);
+// (tools/resume_driver --progress uses it);
 // anything else — a daemon's job table, a test capturing trajectories — is
 // just another std::function. See DESIGN.md "Telemetry & tracing".
 #pragma once

@@ -21,8 +21,7 @@
 // stored by pointer and emitted unescaped).
 //
 // GECOS_TRACE=<path> turns tracing on at process start and writes <path>
-// at exit; bench_main --trace does the same per run. See DESIGN.md
-// "Telemetry & tracing".
+// at exit. See DESIGN.md "Telemetry & tracing".
 #pragma once
 
 #include <atomic>

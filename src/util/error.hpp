@@ -91,6 +91,13 @@ class Error : public std::runtime_error {
   /// The machine-checkable failure category.
   ErrorKind kind() const { return kind_; }
 
+  /// The message without the "<kind>: " prefix: what to pass when the kind
+  /// travels beside it (a wire error frame, a failed job's record), so a
+  /// rebuilt Error does not repeat it.
+  const char* message() const noexcept {
+    return what() + std::char_traits<char>::length(to_string(kind_)) + 2;
+  }
+
  private:
   ErrorKind kind_;
 };

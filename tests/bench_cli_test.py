@@ -5,12 +5,15 @@ Pins the argument-handling policy the CI pipeline and the serve-layer job
 workspaces depend on:
 
   * unknown flags and missing flag arguments exit 2 with a usage message,
+    including --simd, --trace and --progress (GECOS_SIMD, GECOS_TRACE and
+    resume_driver --progress do those jobs),
   * --threads takes an integer in [1, 1024]; anything else exits 2,
   * an unwritable --out path fails FAST (the writability probe runs before
     any timed entry, so a typo'd path cannot waste a full bench run),
   * a valid --only + --out run exits 0 and writes a parseable JSON report
     with the gecos-bench-v4 schema,
-  * an --only filter matching nothing is an error, not a silent no-op.
+  * an --only filter matching nothing is an error, not a silent no-op,
+  * --list prints exactly the suite's entries, in run order.
 
 Usage: bench_cli_test.py /path/to/bench_main
 """
@@ -21,6 +24,16 @@ import subprocess
 import sys
 import tempfile
 import time
+
+# The suite, in run order.
+ENTRIES = [
+    "term_expansion", "pauli_sum_product", "stream_triad", "scb_apply",
+    "pauli_sum_apply", "dense_matmul", "dense_expm", "fermion_hubbard_1d",
+    "fermion_hubbard_2d_spinful", "fermion_molecular",
+    "fermion_density_string", "fermion_apply_xcheck", "parallel_apply",
+    "hubbard_quench", "sector_xcheck", "sector_ground_state",
+    "sector_quench", "telemetry_overhead", "serve_batch",
+]
 
 
 def run(args, timeout=600):
@@ -52,6 +65,13 @@ def main():
         "--frobnicate" in r.stderr and "usage" in r.stderr,
         r.stderr[:200],
     )
+
+    # Flags that duplicated an environment variable are unknown arguments.
+    for flag in (["--simd", "avx2"], ["--trace", "t.json"], ["--progress"]):
+        r = run([bench, *flag, "--list"], timeout=60)
+        check(f"{flag[0]} exits 2", r.returncode == 2, f"rc={r.returncode}")
+        check(f"{flag[0]} error names the flag",
+              f"unknown argument '{flag[0]}'" in r.stderr, r.stderr[:200])
 
     # --out without its PATH argument: exit 2.
     r = run([bench, "--out"])
@@ -93,8 +113,8 @@ def main():
     # --list prints entry names without running anything.
     r = run([bench, "--list"], timeout=60)
     check("--list exits 0", r.returncode == 0, f"rc={r.returncode}")
-    entries = [line for line in r.stdout.split() if line]
-    check("--list prints entries", len(entries) >= 5, r.stdout[:200])
+    check("--list prints the suite in order", r.stdout.split() == ENTRIES,
+          r.stdout[:400])
 
     # Valid --only + --out: exit 0 and a parseable v4 report at the path.
     with tempfile.TemporaryDirectory() as tmp:

@@ -6,13 +6,16 @@
 // kind propagation, abandon-and-resume through the job journal + solver
 // checkpoint, terminal-result persistence across a process-lifetime
 // boundary (simulated by a fresh Scheduler on the same state dir with the
-// executor never started), and the fresh-solve fallback for a checkpoint
-// of another reorthogonalization policy.
+// executor never started), the fresh-solve fallback for a checkpoint of
+// another reorthogonalization policy, and the failure of a job whose
+// checkpoint is corrupt.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <functional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -32,11 +35,17 @@ using namespace gecos::serve;
 
 namespace {
 
+/// True when fn throws a gecos::Error of `kind` whose what() names the kind
+/// exactly once ("<kind>: <message>"), also when fetch() rebuilds a failed
+/// job's recorded error.
 bool throws_kind(ErrorKind kind, const std::function<void()>& fn) {
   try {
     fn();
   } catch (const Error& e) {
-    return e.kind() == kind;
+    const std::string what = e.what();
+    const std::string prefix = std::string(error_kind_name(kind)) + ": ";
+    return e.kind() == kind && what.rfind(prefix, 0) == 0 &&
+           what.find(prefix, prefix.size()) == std::string::npos;
   } catch (...) {
     return false;
   }
@@ -408,6 +417,35 @@ int main() {
       CHECK_EQ(r.matvecs, small_ref.matvecs);
       CHECK(!checkpoint_exists(ck));  // the finished job cleans up
     }
+    sched.stop(false);
+  }
+
+  // -- a corrupt checkpoint fails the job, naming its kind once -------------
+  {
+    // Garbage bytes under the job's checkpoint name: resume() reports
+    // io_corrupt, which (unlike dim_mismatch) fails the job. The recorded
+    // message carries no "io_corrupt: " prefix of its own, so the Error
+    // fetch() rebuilds from kind + message names the kind exactly once.
+    JobSpec spec = small_ground();
+    spec.checkpoint_interval = 10;
+    const std::string dir = root + "/corrupt";
+    std::filesystem::create_directories(dir);
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(job_key(spec)));
+    std::ofstream(dir + "/ck_" + hex + ".ckpt", std::ios::binary)
+        << "not a checkpoint";
+    SchedulerOptions o;
+    o.state_dir = dir;
+    Scheduler sched(o);
+    const std::uint64_t id = sched.submit(spec);
+    CHECK(sched.wait(id, 600.0));
+    const JobStatus st = sched.status(id);
+    CHECK(st.state == JobState::kFailed);
+    CHECK_EQ(st.error_kind, std::string("io_corrupt"));
+    CHECK(!st.error_message.empty());
+    CHECK(st.error_message.find("io_corrupt: ") == std::string::npos);
+    CHECK(throws_kind(ErrorKind::io_corrupt, [&] { (void)sched.fetch(id); }));
     sched.stop(false);
   }
 

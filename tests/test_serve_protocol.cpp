@@ -28,11 +28,16 @@ using namespace gecos::serve;
 
 namespace {
 
+/// True when fn throws a gecos::Error of `kind` whose what() names the kind
+/// exactly once ("<kind>: <message>"), also after a trip over the wire.
 bool throws_kind(ErrorKind kind, const std::function<void()>& fn) {
   try {
     fn();
   } catch (const Error& e) {
-    return e.kind() == kind;
+    const std::string what = e.what();
+    const std::string prefix = std::string(error_kind_name(kind)) + ": ";
+    return e.kind() == kind && what.rfind(prefix, 0) == 0 &&
+           what.find(prefix, prefix.size()) == std::string::npos;
   } catch (...) {
     return false;
   }

@@ -292,7 +292,7 @@ int main(int argc, char** argv) {
     return usage(argv[0], 2);
   } catch (const gecos::Error& e) {
     std::fprintf(stderr, "error (%s): %s\n",
-                 gecos::error_kind_name(e.kind()), e.what());
+                 gecos::error_kind_name(e.kind()), e.message());
     return 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

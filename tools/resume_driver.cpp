@@ -81,8 +81,8 @@ HubbardParams lattice(bool quick) {
   return hq;
 }
 
-/// The bench lanczos_ground_state options (k = 2, tol = 1e-8) plus the
-/// checkpoint wiring from the command line.
+/// The ground-state options of perfbench ground_full (k = 2, tol = 1e-8)
+/// plus the checkpoint wiring from the command line.
 LanczosOptions options(const Args& a) {
   LanczosOptions lo;
   lo.k = 2;

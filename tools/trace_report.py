@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Validate a gecos trace-event JSON file and digest its top spans (stdlib only).
 
-Reads the chrome://tracing / Perfetto trace-event JSON that bench_main
---trace (or GECOS_TRACE=<path>) writes, validates its structure — every
+Reads the chrome://tracing / Perfetto trace-event JSON that GECOS_TRACE=<path>
+writes, validates its structure — every
 "X" complete event needs a name, pid/tid, and numeric non-negative ts/dur;
 "M" metadata events are allowed through — and prints a digest of the top
 spans by SELF time (wall time minus the time covered by nested child
