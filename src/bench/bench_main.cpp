@@ -28,6 +28,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <random>
 #include <span>
 #include <sstream>
@@ -254,22 +255,29 @@ int pauli_sum_product(Run& r) {
 }
 
 // -- roofline anchor ---------------------------------------------------------
-// STREAM triad (a[i] = b[i] + s*c[i] over doubles, arrays far beyond the
-// last-level cache): the streaming-bandwidth ceiling of this machine. The
-// statevector sweeps below are memory-bound, so their achieved_gbs (modeled
-// traffic / min time) is meaningful exactly as a fraction of this number —
-// stream_fraction close to 1 means the kernel is running at the roofline
-// and further ILP/SIMD work cannot help.
+// STREAM triad (a[i] = b[i] + s*c[i] over doubles, three 64 MiB arrays in
+// both modes, far beyond the last-level cache): the DRAM bandwidth ceiling
+// of this machine at the configured thread count. The sweep and its
+// first-touch initialization run through parallel_for, the pool the
+// kernels below run on, so achieved_gbs (modeled traffic / min time) over
+// this number is the fraction of the DRAM roofline a pooled kernel
+// reaches. A working set that fits the last-level cache can read above 1.
 int stream_triad(Run& r) {
-  const std::size_t len =
-      r.quick ? (std::size_t{1} << 21) : (std::size_t{1} << 23);
-  std::vector<double> a(len, 1.0), b(len, 2.0), c(len, 0.5);
+  const std::size_t len = std::size_t{1} << 23;
+  const std::unique_ptr<double[]> a(new double[len]), b(new double[len]),
+      c(new double[len]);
+  parallel_for(len, [&](std::size_t lo, std::size_t hi, int) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      a[i] = 1.0;
+      b[i] = 2.0;
+      c[i] = 0.5;
+    }
+  });
   const double s = 3.0;
   const Timing t = r.time([&] {
-    double* pa = a.data();
-    const double* pb = b.data();
-    const double* pc = c.data();
-    for (std::size_t i = 0; i < len; ++i) pa[i] = pb[i] + s * pc[i];
+    parallel_for(len, [&](std::size_t lo, std::size_t hi, int) {
+      for (std::size_t i = lo; i < hi; ++i) a[i] = b[i] + s * c[i];
+    });
     sink += static_cast<std::size_t>(a[len / 2] < 1e9);
   });
   const double bytes = 24.0 * static_cast<double>(len);  // 2 loads, 1 store

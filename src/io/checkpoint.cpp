@@ -216,12 +216,9 @@ void write_checkpoint(const std::string& path, PayloadKind kind,
     throw Error(ErrorKind::io_corrupt, path + ": rename: " + errno_text());
   }
   sync_parent_dir(path);
-  if (metrics) {
-    telemetry::count(telemetry::Counter::checkpoint_writes);
-    telemetry::count(telemetry::Counter::checkpoint_bytes, image.size());
+  if (metrics)
     telemetry::observe(telemetry::Hist::checkpoint_write_ns,
                        telemetry::now_ns() - t0);
-  }
 }
 
 Checkpoint read_checkpoint(const std::string& path) {

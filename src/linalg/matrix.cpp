@@ -185,12 +185,6 @@ std::vector<cplx> Matrix::apply(std::span<const cplx> v) const {
   return r;
 }
 
-double Matrix::norm_fro() const {
-  double s = 0;
-  for (const auto& x : data_) s += std::norm(x);
-  return std::sqrt(s);
-}
-
 double Matrix::norm_max() const {
   double s = 0;
   for (const auto& x : data_) s = std::max(s, std::abs(x));
@@ -254,13 +248,6 @@ Matrix Matrix::block(std::size_t r0, std::size_t c0, std::size_t nr,
   Matrix r(nr, nc);
   for (std::size_t i = 0; i < nr; ++i)
     for (std::size_t j = 0; j < nc; ++j) r(i, j) = (*this)(r0 + i, c0 + j);
-  return r;
-}
-
-Matrix kron_all(std::span<const Matrix> ops) {
-  if (ops.empty()) return Matrix::identity(1);
-  Matrix r = ops[0];
-  for (std::size_t i = 1; i < ops.size(); ++i) r = r.kron(ops[i]);
   return r;
 }
 

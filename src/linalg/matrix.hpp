@@ -88,8 +88,6 @@ class Matrix {
   /// Matrix-vector product (*this) v; v.size() must equal cols(). O(n^2).
   std::vector<cplx> apply(std::span<const cplx> v) const;
 
-  /// Frobenius norm.
-  double norm_fro() const;
   /// Max absolute entry.
   double norm_max() const;
   /// Spectral norm upper bound estimate via a few power iterations on A†A.
@@ -116,9 +114,6 @@ class Matrix {
 
 /// Scalar-from-the-left product s * m.
 Matrix operator*(cplx s, const Matrix& m);
-
-/// Kronecker product of a list, left-to-right: ops[0] (x) ops[1] (x) ...
-Matrix kron_all(std::span<const Matrix> ops);
 
 // The vec_norm/vec_dot/vec_axpy family of statevector kernels lives in
 // linalg/blas1.hpp (one shared parallel implementation).

@@ -1,5 +1,4 @@
 #include "linalg/sparse.hpp"
-#include "linalg/blas1.hpp"
 
 #include <algorithm>
 #include <bit>
@@ -82,14 +81,6 @@ void CsrMatrix::apply_add(std::span<const cplx> x, std::span<cplx> y,
   });
 }
 
-Matrix CsrMatrix::to_dense() const {
-  Matrix m(rows_, cols_);
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t k = rowptr_[r]; k < rowptr_[r + 1]; ++k)
-      m(r, cols_idx_[k]) += vals_[k];
-  return m;
-}
-
 CsrMatrix CsrMatrix::dagger() const {
   std::vector<Triplet> t;
   t.reserve(nnz());
@@ -118,35 +109,6 @@ double CsrMatrix::norm_max() const {
   double s = 0;
   for (const auto& v : vals_) s = std::max(s, std::abs(v));
   return s;
-}
-
-int conjugate_gradient(const CsrMatrix& a, std::span<const cplx> b,
-                       std::span<cplx> x, double tol, int max_iters) {
-  assert(a.rows() == a.cols() && b.size() == a.rows() && x.size() == a.rows());
-  const std::size_t n = b.size();
-  std::vector<cplx> r(b.begin(), b.end());
-  std::vector<cplx> ax = a.apply(x);
-  for (std::size_t i = 0; i < n; ++i) r[i] -= ax[i];
-  std::vector<cplx> p = r;
-  double rs = std::norm(vec_dot(r, r).real()) >= 0 ? vec_dot(r, r).real() : 0;
-  rs = vec_dot(r, r).real();
-  const double b_norm = std::max(vec_norm(b), 1e-300);
-  for (int it = 0; it < max_iters; ++it) {
-    if (std::sqrt(rs) / b_norm < tol) return it;
-    std::vector<cplx> ap = a.apply(p);
-    const double denom = vec_dot(p, ap).real();
-    if (denom <= 0) return -1;  // not positive definite along p
-    const double alpha = rs / denom;
-    for (std::size_t i = 0; i < n; ++i) {
-      x[i] += alpha * p[i];
-      r[i] -= alpha * ap[i];
-    }
-    const double rs_new = vec_dot(r, r).real();
-    const double beta = rs_new / rs;
-    for (std::size_t i = 0; i < n; ++i) p[i] = r[i] + beta * p[i];
-    rs = rs_new;
-  }
-  return std::sqrt(rs) / b_norm < tol ? max_iters : -1;
 }
 
 }  // namespace gecos

@@ -1,8 +1,7 @@
 // Compressed-sparse-row complex matrices.
 //
-// Used for the finite-difference substrate (Section V-C): operator assembly,
-// matrix-free verification of the SCB decompositions and the classical
-// conjugate-gradient reference solver.
+// Used for the finite-difference substrate (Section V-C): operator assembly
+// and matrix-free verification of the SCB decompositions.
 #pragma once
 
 #include <cstdint>
@@ -59,8 +58,6 @@ class CsrMatrix : public LinearOperator {
   void apply_add(std::span<const cplx> x, std::span<cplx> y,
                  cplx s) const override;
 
-  /// Dense copy (verification only).
-  Matrix to_dense() const;
   /// Conjugate transpose as a new CSR matrix.
   CsrMatrix dagger() const;
   /// Entrywise ||A - A^dagger||_max <= tol.
@@ -68,9 +65,7 @@ class CsrMatrix : public LinearOperator {
   /// Max absolute stored entry.
   double norm_max() const;
 
-  /// Row slices for iteration.
-  std::span<const std::size_t> row_ptr() const { return rowptr_; }
-  std::span<const std::size_t> col_idx() const { return cols_idx_; }
+  /// Stored entries in row-major order.
   std::span<const cplx> values() const { return vals_; }
 
  private:
@@ -80,11 +75,5 @@ class CsrMatrix : public LinearOperator {
   std::vector<std::size_t> cols_idx_;
   std::vector<cplx> vals_;
 };
-
-/// Solves A x = b for Hermitian positive-definite A by conjugate gradients.
-/// Returns the iteration count, or -1 if tolerance was not reached.
-int conjugate_gradient(const CsrMatrix& a, std::span<const cplx> b,
-                       std::span<cplx> x, double tol = 1e-10,
-                       int max_iters = 10000);
 
 }  // namespace gecos

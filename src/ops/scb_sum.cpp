@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "ops/conversion.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace gecos {
 
@@ -215,7 +214,6 @@ void ScbSum::apply_add(std::span<const cplx> x, std::span<cplx> y,
       for (const auto& [word, c] : terms_)
         cache.kernels.emplace_back(ScbTerm(c, word, false));
       cache.dirty = false;
-      telemetry::count(telemetry::Counter::kernel_compiles, terms_.size());
     }
   }
   for (const TermKernel& k : cache.kernels) k.apply_add(x, y, scale);

@@ -94,13 +94,6 @@ std::vector<int> ScbTerm::pauli_qubits() const {
   return r;
 }
 
-std::vector<int> ScbTerm::identity_qubits() const {
-  std::vector<int> r;
-  for (std::size_t q = 0; q < ops_.size(); ++q)
-    if (ops_[q] == Scb::I) r.push_back(static_cast<int>(q));
-  return r;
-}
-
 std::uint64_t ScbTerm::flip_mask() const {
   std::uint64_t m = 0;
   for (std::size_t q = 0; q < ops_.size(); ++q)

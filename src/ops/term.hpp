@@ -37,7 +37,6 @@ class ScbTerm {
   cplx coeff() const { return coeff_; }
   void set_coeff(cplx c) { coeff_ = c; }
   bool add_hc() const { return add_hc_; }
-  void set_add_hc(bool v) { add_hc_ = v; }
   Scb op(std::size_t q) const { return ops_[q]; }
   const std::vector<Scb>& ops() const { return ops_; }
 
@@ -63,8 +62,6 @@ class ScbTerm {
   std::vector<int> control_qubits() const;
   /// Qubits holding X/Y/Z (the Pauli family).
   std::vector<int> pauli_qubits() const;
-  /// Qubits holding the identity.
-  std::vector<int> identity_qubits() const;
 
   /// Bitmask of qubits the bare product flips in the computational basis
   /// (X, Y, sigma, sigma^dagger positions).

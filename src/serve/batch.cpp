@@ -89,9 +89,6 @@ BatchResult run_observable_batch(
   out.times.reserve(steps);
   out.loschmidt.reserve(steps);
   out.values.reserve(steps * observables.size());
-  if (observables.size() > 1)
-    telemetry::count(telemetry::Counter::observables_batched,
-                     observables.size() - 1);
 
   const std::uint64_t t0 = telemetry::now_ns();
   SectorVector psi = psi0;

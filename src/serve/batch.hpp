@@ -47,8 +47,7 @@ struct BatchResult {
 
 /// Evolves psi0 under h for `steps` Krylov steps of dt and measures every
 /// observable after each step — the one-pass core the scheduler and the
-/// serve_batch bench share. Observables must live on h's sector. Counts
-/// observables beyond the first into telemetry observables_batched. The
+/// serve_batch bench share. Observables must live on h's sector. The
 /// optional progress sink (phase "serve.batch") fires after every step with
 /// the step index, total and matvec count; a throwing sink aborts the pass
 /// (the scheduler's cancel/abandon hook).

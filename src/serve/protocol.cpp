@@ -25,6 +25,19 @@ bool get_bool(PayloadReader& r) {
   return v != 0;
 }
 
+// Reads a u32 enum field, rejecting values outside [first, last]: a spec
+// from a newer build (or a damaged one) must fail to decode, not reach a
+// switch that matches no case.
+template <typename E>
+E get_enum(PayloadReader& r, E first, E last, const char* field) {
+  const std::uint32_t v = r.get_u32();
+  if (v < static_cast<std::uint32_t>(first) ||
+      v > static_cast<std::uint32_t>(last))
+    throw Error(ErrorKind::protocol,
+                std::string(field) + " out of range: " + std::to_string(v));
+  return static_cast<E>(v);
+}
+
 void put_doubles(PayloadWriter& w, const std::vector<double>& v) {
   w.put_u64(v.size());
   for (const double x : v) w.put_f64(x);
@@ -208,7 +221,8 @@ void encode_job_spec(PayloadWriter& w, const JobSpec& spec) {
 
 JobSpec decode_job_spec(PayloadReader& r) {
   JobSpec spec;
-  spec.kind = static_cast<JobKind>(r.get_u32());
+  spec.kind = get_enum(r, JobKind::kGroundState, JobKind::kSpectral,
+                       "job kind");
   spec.lattice = decode_lattice(r);
   spec.use_sector = get_bool(r);
   spec.n_up = r.get_u32();
@@ -226,7 +240,8 @@ JobSpec decode_job_spec(PayloadReader& r) {
     throw Error(ErrorKind::protocol, "observable count exceeds payload");
   spec.observables.resize(n_obs);
   for (ObservableSpec& o : spec.observables) {
-    o.kind = static_cast<ObservableKind>(r.get_u32());
+    o.kind = get_enum(r, ObservableKind::kDensity,
+                      ObservableKind::kTotalNumber, "observable kind");
     o.site_a = r.get_u32();
     o.site_b = r.get_u32();
   }

@@ -1,6 +1,7 @@
 #include "serve/scheduler.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -11,7 +12,6 @@
 #include "solver/lanczos.hpp"
 #include "spectral/continued_fraction.hpp"
 #include "symmetry/sector_vector.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace gecos::serve {
 
@@ -74,7 +74,6 @@ std::uint64_t Scheduler::submit(const JobSpec& spec) {
   job.spec = spec;
   job.key = job_key(spec);
   ++submitted_;
-  telemetry::count(telemetry::Counter::jobs_submitted);
   write_journal_locked(job);
   jobs_.emplace(id, std::move(job));
   work_cv_.notify_one();
@@ -428,7 +427,6 @@ void Scheduler::finish_done(std::uint64_t id, JobResult result) {
     job.state = JobState::kDone;
     job.result = std::move(result);
     ++completed_;
-    telemetry::count(telemetry::Counter::jobs_completed);
   }
   write_journal_locked(job);
   cv_.notify_all();
@@ -505,8 +503,14 @@ void Scheduler::load_journals() {
   for (const auto& entry : fs::directory_iterator(opts_.state_dir, ec)) {
     const std::string name = entry.path().filename().string();
     if (name.size() > 8 && name.rfind("job_", 0) == 0 &&
-        name.compare(name.size() - 4, 4, ".job") == 0)
+        name.compare(name.size() - 4, 4, ".job") == 0) {
       paths.push_back(entry.path().string());
+      // Reserve the file's id even if its journal is skipped below, so no
+      // later submit reuses the id and overwrites the file.
+      std::uint64_t id = 0;
+      std::from_chars(name.data() + 4, name.data() + name.size() - 4, id);
+      next_id_ = std::max(next_id_, id + 1);
+    }
   }
   std::sort(paths.begin(), paths.end());
   for (const std::string& path : paths) {

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "simd/kernels.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace gecos {
 
@@ -49,12 +48,7 @@ SimdTier initial_tier() {
 }
 
 std::atomic<SimdTier>& tier_state() {
-  static std::atomic<SimdTier> t = [] {
-    const SimdTier tier = initial_tier();
-    telemetry::gauge_set(telemetry::Gauge::simd_tier,
-                         static_cast<std::int64_t>(tier));
-    return std::atomic<SimdTier>{tier};
-  }();
+  static std::atomic<SimdTier> t{initial_tier()};
   return t;
 }
 
@@ -100,8 +94,6 @@ void set_simd_tier(SimdTier t) {
         std::string("set_simd_tier: tier '") + simd_tier_name(t) +
         "' is not available on this host");
   tier_state().store(t, std::memory_order_relaxed);
-  telemetry::gauge_set(telemetry::Gauge::simd_tier,
-                       static_cast<std::int64_t>(t));
 }
 
 namespace simd {

@@ -158,8 +158,6 @@ double Lanczos::extend(std::size_t j) const {
       }
       return bj;  // w untouched since the norm above: reuse it
     }
-    case LanczosReorth::kNone:
-      break;
   }
   return vec_norm(w);
 }
@@ -182,8 +180,7 @@ void Lanczos::thick_restart(std::size_t jj, std::size_t l, double b) const {
   // unit-norm and orthogonal to the carried residual vector. Both are
   // ~1e-13 for an orthogonalizing policy, so a 1e-6 excursion is a real
   // loss of invariants (reported as breakdown), not noise. The reductions
-  // also sweep every amplitude for NaN/Inf via the blas1 guards. kNone is
-  // the documented ghost factory and is exempt from enforcement.
+  // also sweep every amplitude for NaN/Inf via the blas1 guards.
   double drift = 0.0, ortho = 0.0;
   for (std::size_t i = 0; i < l; ++i) {
     drift = std::max(drift, std::abs(vec_norm(basis_.vec(i)) - 1.0));
@@ -191,8 +188,7 @@ void Lanczos::thick_restart(std::size_t jj, std::size_t l, double b) const {
   }
   result_.max_norm_drift = std::max(result_.max_norm_drift, drift);
   result_.max_ortho_loss = std::max(result_.max_ortho_loss, ortho);
-  if (opts_.reorth != LanczosReorth::kNone &&
-      (drift > kHealthLimit || ortho > kHealthLimit))
+  if (drift > kHealthLimit || ortho > kHealthLimit)
     throw Error(ErrorKind::breakdown,
                 "Lanczos: basis invariants lost at restart " +
                     std::to_string(result_.restarts + 1) + " (norm drift " +
@@ -335,8 +331,7 @@ const LanczosResult& Lanczos::resume(const std::string& path) {
     ortho = std::max(ortho, std::abs(vec_dot(basis_.vec(s), basis_.vec(j))));
   result_.max_norm_drift = drift;
   result_.max_ortho_loss = ortho;
-  if (opts_.reorth != LanczosReorth::kNone &&
-      (drift > kHealthLimit || ortho > kHealthLimit))
+  if (drift > kHealthLimit || ortho > kHealthLimit)
     throw Error(ErrorKind::breakdown,
                 path + ": restored basis is not orthonormal (norm drift " +
                     std::to_string(drift) + ", orthogonality loss " +

@@ -39,7 +39,8 @@
 
 namespace gecos {
 
-/// Reorthogonalization policy of a Lanczos run (see DESIGN.md).
+/// Reorthogonalization policy of a Lanczos run (see DESIGN.md). The values
+/// are written into checkpoints.
 enum class LanczosReorth {
   /// Every iteration orthogonalizes against the whole basis (the reference
   /// policy: machine-level orthogonality at one extra basis sweep per step).
@@ -51,7 +52,6 @@ enum class LanczosReorth {
   /// floor omega ||T|| stays below tol. The locked restart prefix is
   /// projected out every iteration.
   kSelective,
-  kNone,  ///< bare three-term recurrence (ghost eigenvalues; testing)
 };
 
 /// Tuning knobs for the Lanczos eigensolver.

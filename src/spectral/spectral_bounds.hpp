@@ -34,10 +34,6 @@ struct SpectralBounds {
   double e_min = 0.0;        ///< padded lower bound on spec(H)
   double e_max = 0.0;        ///< padded upper bound on spec(H)
   std::size_t matvecs = 0;   ///< operator applications spent
-  /// Interval midpoint (E_max + E_min) / 2 — the KPM shift b.
-  double center() const { return 0.5 * (e_max + e_min); }
-  /// Interval half-width (E_max - E_min) / 2 — the KPM scale a.
-  double half_width() const { return 0.5 * (e_max - e_min); }
 };
 
 /// Estimates [E_min, E_max] of a HERMITIAN operator by two seeded power

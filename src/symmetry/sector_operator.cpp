@@ -113,9 +113,6 @@ void SectorOperator::compile(const ScbSum& h) {
   if (num_kernels_ == 0)
     throw std::invalid_argument(
         "SectorOperator: operator vanishes in canonical form");
-  // Same instrumentation site as ScbSum's kernel rebuild: every surviving
-  // canonical word cost one TermKernel mask compilation.
-  telemetry::count(telemetry::Counter::kernel_compiles, num_kernels_);
 
   // The rank -> configuration table (one enumeration walk, freed on
   // return) drives the passes below. Fuse every diagonal word into one

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <memory>
 #include <mutex>
 #include <ostream>
 
@@ -13,128 +12,24 @@ namespace gecos::telemetry {
 
 namespace {
 
-// One thread's preallocated circular event buffer. record() runs on the
-// owning thread only; collection locks the ring mutex, so the per-record
-// cost is one uncontended lock.
-struct Ring {
-  explicit Ring(std::uint32_t id) : tid(id) { buf.resize(kSpanRingCapacity); }
+// The process-wide span ring: kSpanRingCapacity events under one mutex.
+// The buffer is allocated at the first recorded span and never freed: the
+// GECOS_TRACE writer reads it from an atexit hook registered before main,
+// which runs after the destructors of anything constructed later. Slot
+// total % capacity is the next write; once total exceeds the capacity,
+// the oldest events are overwritten.
+std::mutex g_ring_m;
+TraceEvent* g_ring = nullptr;    // guarded by g_ring_m
+std::uint64_t g_ring_total = 0;  // events recorded since the last clear
 
-  void record(const TraceEvent& ev) {
-    std::scoped_lock<std::mutex> lk(m);
-    buf[head] = ev;
-    head = (head + 1) % buf.size();
-    if (total >= buf.size()) {
-      ++dropped;
-      count(Counter::spans_dropped);
-    }
-    ++total;
-  }
+std::uint64_t dropped_locked() {
+  return g_ring_total > kSpanRingCapacity ? g_ring_total - kSpanRingCapacity
+                                          : 0;
+}
 
-  std::mutex m;
-  std::vector<TraceEvent> buf;
-  std::size_t head = 0;      // next write slot
-  std::uint64_t total = 0;   // events ever recorded
-  std::uint64_t dropped = 0; // events overwritten
-  std::uint32_t tid;
-};
-
-// Ring registry; leaked for the same static-destruction-order reason as
-// the metrics shard registry (worker TLS retires rings at pool join time).
-class TraceRegistry {
- public:
-  static TraceRegistry& instance() {
-    static TraceRegistry* r = new TraceRegistry;  // leaked, see class comment
-    return *r;
-  }
-
-  Ring* acquire() {
-    std::scoped_lock<std::mutex> lk(m_);
-    auto ring = std::make_unique<Ring>(next_tid_++);
-    Ring* raw = ring.get();
-    live_.push_back(std::move(ring));
-    return raw;
-  }
-
-  void release(Ring* r) {
-    std::scoped_lock<std::mutex> lk(m_);
-    for (std::size_t i = 0; i < live_.size(); ++i) {
-      if (live_[i].get() == r) {
-        retired_.push_back(std::move(live_[i]));
-        live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(i));
-        return;
-      }
-    }
-  }
-
-  std::vector<TraceEvent> collect() {
-    std::scoped_lock<std::mutex> lk(m_);
-    std::vector<TraceEvent> out;
-    for (const auto& list : {&live_, &retired_}) {
-      for (const auto& ring : *list) {
-        std::scoped_lock<std::mutex> rk(ring->m);
-        const std::size_t cap = ring->buf.size();
-        const std::size_t n =
-            ring->total < cap ? static_cast<std::size_t>(ring->total) : cap;
-        // Oldest surviving event first: at slot `head` when wrapped.
-        const std::size_t start = ring->total < cap ? 0 : ring->head;
-        for (std::size_t i = 0; i < n; ++i)
-          out.push_back(ring->buf[(start + i) % cap]);
-      }
-    }
-    std::sort(out.begin(), out.end(),
-              [](const TraceEvent& a, const TraceEvent& b) {
-                if (a.tid != b.tid) return a.tid < b.tid;
-                if (a.ts_ns != b.ts_ns) return a.ts_ns < b.ts_ns;
-                return a.dur_ns > b.dur_ns;  // parents before children
-              });
-    return out;
-  }
-
-  std::uint64_t dropped() {
-    std::scoped_lock<std::mutex> lk(m_);
-    std::uint64_t d = 0;
-    for (const auto& list : {&live_, &retired_})
-      for (const auto& ring : *list) {
-        std::scoped_lock<std::mutex> rk(ring->m);
-        d += ring->dropped;
-      }
-    return d;
-  }
-
-  void clear() {
-    std::scoped_lock<std::mutex> lk(m_);
-    for (const auto& list : {&live_, &retired_})
-      for (const auto& ring : *list) {
-        std::scoped_lock<std::mutex> rk(ring->m);
-        ring->head = 0;
-        ring->total = 0;
-        ring->dropped = 0;
-      }
-    // Fully retired rings hold no live thread; drop them so cleared traces
-    // do not accumulate dead buffers across bench entries.
-    retired_.clear();
-  }
-
- private:
-  TraceRegistry() = default;
-  std::mutex m_;
-  std::vector<std::unique_ptr<Ring>> live_;
-  std::vector<std::unique_ptr<Ring>> retired_;
-  std::uint32_t next_tid_ = 1;
-};
-
-struct RingHandle {
-  Ring* ring = nullptr;
-  Ring& get() {
-    if (ring == nullptr) ring = TraceRegistry::instance().acquire();
-    return *ring;
-  }
-  ~RingHandle() {
-    if (ring != nullptr) TraceRegistry::instance().release(ring);
-  }
-};
-
-thread_local RingHandle tls_ring;
+// One trace track per thread: ids are handed out at a thread's first span.
+std::atomic<std::uint32_t> g_next_tid{1};
+thread_local std::uint32_t tls_tid = 0;
 thread_local std::uint32_t tls_depth = 0;
 
 // Trace epoch: fixed at the first enable so timestamps are small positive
@@ -166,25 +61,45 @@ void ScopedSpan::start(const char* name) {
 void ScopedSpan::finish() {
   const std::uint64_t t1 = trace_now_ns();
   --tls_depth;
+  if (tls_tid == 0)
+    tls_tid = g_next_tid.fetch_add(1, std::memory_order_relaxed);
   TraceEvent ev;
   ev.name = name_;
+  ev.tid = tls_tid;
   ev.depth = depth_;
   ev.ts_ns = t0_;
   ev.dur_ns = t1 >= t0_ ? t1 - t0_ : 0;
-  Ring& ring = tls_ring.get();
-  ev.tid = ring.tid;
-  ring.record(ev);
+  std::scoped_lock<std::mutex> lk(g_ring_m);
+  if (g_ring == nullptr) g_ring = new TraceEvent[kSpanRingCapacity];
+  g_ring[g_ring_total++ % kSpanRingCapacity] = ev;
 }
 
 std::vector<TraceEvent> trace_events() {
-  return TraceRegistry::instance().collect();
+  std::vector<TraceEvent> out;
+  {
+    std::scoped_lock<std::mutex> lk(g_ring_m);
+    // Oldest surviving event first.
+    for (std::uint64_t i = dropped_locked(); i < g_ring_total; ++i)
+      out.push_back(g_ring[i % kSpanRingCapacity]);
+  }
+  std::sort(out.begin(), out.end(),
+            [](const TraceEvent& a, const TraceEvent& b) {
+              if (a.tid != b.tid) return a.tid < b.tid;
+              if (a.ts_ns != b.ts_ns) return a.ts_ns < b.ts_ns;
+              return a.dur_ns > b.dur_ns;  // parents before children
+            });
+  return out;
 }
 
 std::uint64_t trace_dropped_events() {
-  return TraceRegistry::instance().dropped();
+  std::scoped_lock<std::mutex> lk(g_ring_m);
+  return dropped_locked();
 }
 
-void trace_clear() { TraceRegistry::instance().clear(); }
+void trace_clear() {
+  std::scoped_lock<std::mutex> lk(g_ring_m);
+  g_ring_total = 0;
+}
 
 void TraceWriter::write(std::ostream& os) const {
   const std::vector<TraceEvent> events = trace_events();

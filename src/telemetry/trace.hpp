@@ -5,20 +5,22 @@
 // destructor a predicted dead branch — safe to leave in matvec-grained hot
 // paths. When ENABLED, construction captures a steady-clock timestamp and
 // destruction records a completed event (name, thread, nesting depth,
-// start, duration) into the calling thread's preallocated ring buffer.
+// start, duration) into the process-wide span ring.
 //
-// Rings are fixed-capacity circular buffers (kSpanRingCapacity events,
-// allocated on a thread's first recorded span — never on the disabled
-// path); when full, the oldest events are overwritten and
-// Counter::spans_dropped ticks. Nesting depth is tracked with a
-// thread-local counter so tests and the trace_report.py self-time digest
-// can attribute parent/child without re-deriving containment.
+// The ring is one fixed-capacity circular buffer of kSpanRingCapacity
+// events under one mutex, allocated at the first recorded span — never on
+// the disabled path. When full, the oldest events are overwritten and
+// trace_dropped_events() counts them. Each thread takes a trace id at its
+// first span, so every thread keeps its own track; nesting depth is
+// tracked with a thread-local counter so tests and the trace_report.py
+// self-time digest can attribute parent/child without re-deriving
+// containment.
 //
-// TraceWriter serializes every ring (live threads plus retired ones) as
-// trace-event JSON — "X" complete events with microsecond timestamps —
-// loadable by chrome://tracing and https://ui.perfetto.dev, and validated
-// by tools/trace_report.py. Span names must be string literals (they are
-// stored by pointer and emitted unescaped).
+// TraceWriter serializes the ring as trace-event JSON — "X" complete
+// events with microsecond timestamps — loadable by chrome://tracing and
+// https://ui.perfetto.dev, and validated by tools/trace_report.py. Span
+// names must be string literals (they are stored by pointer and emitted
+// unescaped).
 //
 // GECOS_TRACE=<path> turns tracing on at process start and writes <path>
 // at exit. See DESIGN.md "Telemetry & tracing".
@@ -40,8 +42,7 @@ inline std::atomic<bool> g_tracing{false};
 
 }  // namespace detail
 
-/// True when span recording is on (GECOS_TRACE, bench --trace, or
-/// set_tracing_enabled).
+/// True when span recording is on (GECOS_TRACE or set_tracing_enabled).
 inline bool tracing_enabled() {
   return detail::g_tracing.load(std::memory_order_relaxed);
 }
@@ -51,16 +52,16 @@ inline bool tracing_enabled() {
 /// normally on close.
 void set_tracing_enabled(bool on);
 
-/// Per-thread ring capacity in events (~32 B each). Rings are allocated at
-/// a thread's first recorded span; a full ring overwrites its oldest
-/// events.
+/// Span ring capacity in events (32 B each), shared by every thread. The
+/// ring is allocated at the first recorded span; when full it overwrites
+/// its oldest events.
 inline constexpr std::size_t kSpanRingCapacity = std::size_t{1} << 15;
 
 /// One completed span as exported: name/thread/depth plus start and
 /// duration in nanoseconds relative to the trace epoch.
 struct TraceEvent {
   const char* name = "";     ///< static string literal passed to GECOS_SPAN
-  std::uint32_t tid = 0;     ///< stable per-thread id (registration order)
+  std::uint32_t tid = 0;     ///< per-thread id, in order of first span
   std::uint32_t depth = 0;   ///< nesting depth at open (0 = outermost)
   std::uint64_t ts_ns = 0;   ///< start, ns since the trace epoch
   std::uint64_t dur_ns = 0;  ///< wall duration in ns
@@ -76,7 +77,7 @@ class ScopedSpan {
     if (tracing_enabled()) [[unlikely]]
       start(name);
   }
-  /// Records the completed event into the thread's ring if the span was
+  /// Records the completed event into the span ring if the span was
   /// opened with tracing enabled.
   ~ScopedSpan() {
     if (active_) [[unlikely]]
@@ -96,16 +97,16 @@ class ScopedSpan {
   bool active_ = false;
 };
 
-/// Snapshot of all recorded events (live + retired rings), sorted by
-/// (tid, ts). Events still open are not included.
+/// Snapshot of the events in the ring, sorted by (tid, ts). Events still
+/// open are not included.
 std::vector<TraceEvent> trace_events();
 
-/// Number of events overwritten by full rings since the last trace_clear()
-/// (also surfaced as Counter::spans_dropped while metrics are enabled).
+/// Number of events overwritten in the full ring since the last
+/// trace_clear().
 std::uint64_t trace_dropped_events();
 
-/// Empties every ring and zeroes the dropped-event count; the epoch is
-/// kept.
+/// Empties the ring and zeroes the dropped-event count; the epoch and the
+/// thread ids are kept.
 void trace_clear();
 
 /// Serializer for the trace-event JSON format.

@@ -29,11 +29,7 @@ int initial_threads() {
 }
 
 int& threads_setting() {
-  static int setting = [] {
-    const int t = initial_threads();
-    telemetry::gauge_set(telemetry::Gauge::threads, t);
-    return t;
-  }();
+  static int setting = initial_threads();
   return setting;
 }
 
@@ -69,8 +65,6 @@ class Pool {
     const bool metrics = telemetry::metrics_enabled();
     if (metrics) {
       telemetry::count(telemetry::Counter::pool_dispatches);
-      telemetry::count(telemetry::Counter::pool_chunks,
-                       static_cast<std::uint64_t>(chunks));
       const std::uint64_t t0 = telemetry::now_ns();
       run_chunk(n, fn, ctx, chunks, 0);
       telemetry::observe(telemetry::Hist::pool_task_ns,
@@ -182,7 +176,6 @@ int num_threads() { return threads_setting(); }
 
 void set_num_threads(int k) {
   threads_setting() = k < 1 ? 1 : k;
-  telemetry::gauge_set(telemetry::Gauge::threads, threads_setting());
 }
 
 namespace detail {

@@ -107,8 +107,7 @@ int main() {
     }
   }
 
-  // -- reorthogonalization policies agree (kNone is the documented ghost
-  // factory and is excluded) ------------------------------------------------
+  // -- reorthogonalization policies agree ------------------------------------
   {
     HubbardParams p;
     p.lx = 8;

@@ -7,8 +7,9 @@
 // checkpoint, terminal-result persistence across a process-lifetime
 // boundary (simulated by a fresh Scheduler on the same state dir with the
 // executor never started), the fresh-solve fallback for a checkpoint of
-// another reorthogonalization policy, and the failure of a job whose
-// checkpoint is corrupt.
+// another reorthogonalization policy, the failure of a job whose
+// checkpoint is corrupt, and the skipping of a journal whose job kind this
+// build does not know, or that is damaged, without reusing its id.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -446,6 +447,41 @@ int main() {
     CHECK(!st.error_message.empty());
     CHECK(st.error_message.find("io_corrupt: ") == std::string::npos);
     CHECK(throws_kind(ErrorKind::io_corrupt, [&] { (void)sched.fetch(id); }));
+    sched.stop(false);
+  }
+
+  // -- a journal with an unknown job kind is skipped, not run forever -------
+  {
+    // A checksum-valid queued journal whose kind this build does not know
+    // (written by a newer build, say) must fail to decode and be skipped:
+    // enqueued, it would match no case in run_job and stay kRunning for
+    // the life of the scheduler. A valid journal beside it still runs, and
+    // a new submit takes neither the skipped journal's id nor a damaged
+    // journal's (either would overwrite the file).
+    const std::string dir = root + "/unknown_kind";
+    std::filesystem::create_directories(dir);
+    const auto plant = [&](std::uint64_t id, const JobSpec& spec) {
+      PayloadWriter w;
+      w.put_u64(id);
+      w.put_u32(static_cast<std::uint32_t>(JobState::kQueued));
+      encode_job_spec(w, spec);
+      write_checkpoint(dir + "/job_" + std::to_string(id) + ".job",
+                       PayloadKind::kServeJob, w.bytes());
+    };
+    JobSpec unknown = small_ground();
+    unknown.kind = static_cast<JobKind>(9);
+    plant(1, small_ground());
+    plant(2, unknown);
+    std::ofstream(dir + "/job_3.job", std::ios::binary) << "not a journal";
+    SchedulerOptions o;
+    o.state_dir = dir;
+    Scheduler sched(o);
+    std::vector<std::uint64_t> listed;
+    for (const JobStatus& st : sched.list()) listed.push_back(st.id);
+    CHECK(listed == std::vector<std::uint64_t>{1});
+    CHECK(sched.wait(1, 600.0));
+    CHECK(sched.status(1).state == JobState::kDone);
+    CHECK_EQ(sched.submit(small_ground()), std::uint64_t{4});
     sched.stop(false);
   }
 

@@ -1,5 +1,6 @@
 // Serve-protocol suite: ErrorKind wire names, encode/decode round trips
-// for every payload schema (bitwise doubles), job/evolution key semantics,
+// for every payload schema (bitwise doubles), rejection of out-of-range
+// job and observable kinds, job/evolution key semantics,
 // spec validation including results too large for one reply frame,
 // framed socket IO including truncation and oversize rejection, the error
 // frame round trip, and a live in-process Server + Client integration over
@@ -14,6 +15,7 @@
 #include <functional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "serve/client.hpp"
@@ -155,6 +157,30 @@ int main() {
     PayloadReader short_r(w.bytes().subspan(0, w.bytes().size() - 4));
     CHECK(throws_kind(ErrorKind::io_corrupt,
                       [&] { (void)decode_job_spec(short_r); }));
+
+    // An out-of-range job or observable kind (a journal written by a newer
+    // build, say) is a protocol error naming the field, never a cast to a
+    // kind that no switch handles.
+    JobSpec bad_kind = spec;
+    bad_kind.kind = static_cast<JobKind>(9);
+    JobSpec bad_obs = spec;
+    bad_obs.observables[2].kind = static_cast<ObservableKind>(9);
+    for (const auto& [bad, field] : {std::pair{bad_kind, "job kind"},
+                                     std::pair{bad_obs, "observable kind"}}) {
+      PayloadWriter bw;
+      encode_job_spec(bw, bad);
+      PayloadReader br(bw.bytes());
+      std::string what;
+      CHECK(throws_kind(ErrorKind::protocol, [&] {
+        try {
+          (void)decode_job_spec(br);
+        } catch (const Error& e) {
+          what = e.what();
+          throw;
+        }
+      }));
+      CHECK(what.find(field) != std::string::npos);
+    }
   }
 
   // -- result round trip, bitwise -------------------------------------------

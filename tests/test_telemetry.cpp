@@ -1,10 +1,10 @@
 // Telemetry suite: strict env policy (in a re-exec'd child process),
-// histogram percentiles against a sorted reference, counter merge across
-// thread shards at 1 and 4 workers, span nesting and thread attribution,
-// the TraceWriter JSON output, bit-identical solver trajectories with
-// telemetry on vs off, solver progress callbacks and per-iteration
-// histories, and the zero-allocation pin with telemetry disabled AND with
-// warm enabled shards.
+// histogram percentiles against a sorted reference, counts from exited
+// threads and solver counters at 1 and 4 workers, span nesting and thread
+// attribution, the TraceWriter JSON output, bit-identical solver
+// trajectories with telemetry on vs off, solver progress callbacks and
+// per-iteration histories, and the zero-allocation pins: telemetry
+// disabled, enabled on a warm solve, and enabled on a fresh thread.
 #include "alloc_probe.hpp"  // first: replaces global operator new
 // clang-format off
 #include <sys/wait.h>
@@ -46,7 +46,7 @@ namespace {
 
 /// Child half of the env-policy tests: this binary re-exec'd with one
 /// GECOS_* variable set. Static init (telemetry::init_from_env) already ran
-/// — a bad GECOS_METRICS / GECOS_TRACE exited 2 before reaching main. The
+/// — an empty GECOS_TRACE exited 2 before reaching main. The
 /// lazily parsed knobs are forced here: a bad GECOS_THREADS / GECOS_SIMD
 /// throws and maps to exit 3. A valid environment records one span (so a
 /// GECOS_TRACE file has content) and exits 0.
@@ -69,7 +69,6 @@ int run_env_child(const char* var, const char* value) {
   const pid_t pid = ::fork();
   if (pid < 0) return -1;
   if (pid == 0) {
-    ::unsetenv("GECOS_METRICS");
     ::unsetenv("GECOS_TRACE");
     ::unsetenv("GECOS_THREADS");
     ::unsetenv("GECOS_SIMD");
@@ -111,9 +110,6 @@ int main(int argc, char** argv) {
     CHECK_EQ(run_env_child("GECOS_THREADS", "4 "), 3);
     CHECK_EQ(run_env_child("GECOS_SIMD", "scalar"), 0);
     CHECK_EQ(run_env_child("GECOS_SIMD", "sse9"), 3);
-    CHECK_EQ(run_env_child("GECOS_METRICS", "0"), 0);
-    CHECK_EQ(run_env_child("GECOS_METRICS", "1"), 0);
-    CHECK_EQ(run_env_child("GECOS_METRICS", "yes"), 2);
     CHECK_EQ(run_env_child("GECOS_TRACE", ""), 2);
 
     // A valid GECOS_TRACE writes the trace file from the atexit hook.
@@ -184,19 +180,6 @@ int main(int argc, char** argv) {
         threw = true;
         if (bad[0] != '\0')
           CHECK(std::string(e.what()).find(bad) != std::string::npos);
-      }
-      CHECK(threw);
-    }
-    CHECK(tel::parse_metrics_env("0") == false);
-    CHECK(tel::parse_metrics_env("1") == true);
-    for (const char* bad : {"", "2", "true", "on"}) {
-      bool threw = false;
-      try {
-        tel::parse_metrics_env(bad);
-      } catch (const std::invalid_argument& e) {
-        threw = true;
-        CHECK(std::string(e.what()).find("GECOS_METRICS") !=
-              std::string::npos);
       }
       CHECK(threw);
     }
@@ -272,8 +255,8 @@ int main(int argc, char** argv) {
     tel::set_metrics_enabled(metrics_was);
   }
 
-  // -- counter merge: per-thread shards retire into the totals on thread
-  // exit, so a snapshot after the joins sees every increment ----------------
+  // -- counts from threads that have exited: a snapshot after the joins sees
+  // every increment ---------------------------------------------------------
   {
     const bool metrics_was = tel::metrics_enabled();
     tel::set_metrics_enabled(true);
@@ -318,8 +301,6 @@ int main(int argc, char** argv) {
       CHECK(d.counter(tel::Counter::amplitudes_touched) > 0);
       CHECK(d.counter(tel::Counter::bytes_moved) >
             d.counter(tel::Counter::amplitudes_touched));
-      CHECK_EQ(d.gauge(tel::Gauge::threads),
-               static_cast<std::int64_t>(workers));
       std::printf("lanczos @%d workers: matvecs=%llu sweeps=%llu\n", workers,
                   static_cast<unsigned long long>(
                       d.counter(tel::Counter::matvecs)),
@@ -519,7 +500,7 @@ int main(int argc, char** argv) {
 
   // -- allocation pins: a warm re-solve allocates nothing with telemetry
   // disabled (the instrumented hot paths cost one branch) AND with metrics +
-  // tracing enabled once shards and rings exist -----------------------------
+  // tracing enabled once the span ring exists -------------------------------
   {
     const int threads_was = num_threads();
     set_num_threads(4);
@@ -539,7 +520,7 @@ int main(int argc, char** argv) {
     tel::set_metrics_enabled(true);
     tel::set_tracing_enabled(true);
     tel::trace_clear();
-    solver.solve();  // warm-up: thread shards, span rings
+    solver.solve();  // warm-up: the span ring
     before = gecos::test::allocations();
     solver.solve();
     const long enabled_delta = gecos::test::allocations() - before;
@@ -556,6 +537,33 @@ int main(int argc, char** argv) {
 #else
     (void)disabled_delta;
     (void)enabled_delta;
+#endif
+  }
+
+  // -- allocation pin on a fresh thread: once the span ring exists, a thread
+  // that has never recorded anything counts, observes and records a span
+  // without allocating (no per-thread metrics or trace state) --------------
+  {
+    tel::set_metrics_enabled(true);
+    tel::set_tracing_enabled(true);
+    { GECOS_SPAN("test.ring_warmup"); }
+    long fresh_delta = -1;
+    std::thread fresh([&fresh_delta] {
+      const long before = gecos::test::allocations();
+      tel::count(tel::Counter::checkpoint_restores);
+      tel::observe(tel::Hist::checkpoint_write_ns, 1000);
+      { GECOS_SPAN("test.fresh_thread"); }
+      fresh_delta = gecos::test::allocations() - before;
+    });
+    fresh.join();
+    tel::set_metrics_enabled(false);
+    tel::set_tracing_enabled(false);
+    tel::trace_clear();
+#if GECOS_ALLOC_PROBE_ACTIVE
+    std::printf("alloc probe: fresh thread=%ld allocations\n", fresh_delta);
+    CHECK_EQ(fresh_delta, 0);
+#else
+    (void)fresh_delta;
 #endif
   }
 
