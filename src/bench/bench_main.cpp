@@ -74,6 +74,15 @@ struct Timing {
   double min = 0;
 };
 
+/// Median and min of a non-empty sample set.
+Timing summarize(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const std::size_t n = samples.size();
+  const double median = n % 2 ? samples[n / 2]
+                              : 0.5 * (samples[n / 2 - 1] + samples[n / 2]);
+  return {median, samples.front()};
+}
+
 using Fields = std::vector<std::pair<std::string, double>>;
 
 /// Nine significant digits: the JSON report and the stdout line print the
@@ -98,29 +107,28 @@ struct Run {
   std::string_view name;  // the running entry
   Fields fields;          // its report
 
-  /// Timing over `repeat` samples, each running fn for >= 0.25 s (0.05 s
-  /// under --quick), after one warmup call.
-  Timing time(const std::function<void()>& fn) const {
+  /// Seconds per call over one window: fn runs until >= 0.25 s (0.05 s
+  /// under --quick) have passed.
+  double window(const std::function<void()>& fn) const {
     using clock = std::chrono::steady_clock;
     const double min_s = quick ? 0.05 : 0.25;
+    int iters = 0;
+    const auto start = clock::now();
+    double elapsed = 0;
+    while (elapsed < min_s) {
+      fn();
+      ++iters;
+      elapsed = std::chrono::duration<double>(clock::now() - start).count();
+    }
+    return elapsed / iters;
+  }
+
+  /// Timing over `repeat` windows, after one warmup call.
+  Timing time(const std::function<void()>& fn) const {
     fn();  // warmup
     std::vector<double> samples;
-    for (int r = 0; r < repeat; ++r) {
-      int iters = 0;
-      const auto start = clock::now();
-      double elapsed = 0;
-      while (elapsed < min_s) {
-        fn();
-        ++iters;
-        elapsed = std::chrono::duration<double>(clock::now() - start).count();
-      }
-      samples.push_back(elapsed / iters);
-    }
-    std::sort(samples.begin(), samples.end());
-    const std::size_t n = samples.size();
-    const double median = n % 2 ? samples[n / 2]
-                                : 0.5 * (samples[n / 2 - 1] + samples[n / 2]);
-    return {median, samples.front()};
+    for (int r = 0; r < repeat; ++r) samples.push_back(window(fn));
+    return summarize(samples);
   }
 
   /// achieved_gbs over the triad roofline; 0 when stream_triad did not run.
@@ -756,8 +764,10 @@ int sector_quench(Run& r) {
 // most instrumentation-dense hot loop in the tree — the fused Strang quench
 // step at full size — by timing the SAME step with telemetry off, with
 // metrics on, and with metrics + span tracing on, gating the enabled-over-off
-// ratios. min-of-repeats on both sides, so the comparison uses the
-// least-noise samples.
+// ratios. The three configurations are interleaved: each of 2 * repeat + 1
+// rounds times one window of each, in an order that rotates by round, so
+// host drift lands on all three alike. The gates read the median over
+// rounds of the per-round ratios, which a stalled window cannot move.
 int telemetry_overhead(Run& r) {
   const HubbardParams hq = quench_lattice(r.quick);
   const std::size_t n = hubbard_num_modes(hq);
@@ -772,18 +782,28 @@ int telemetry_overhead(Run& r) {
 
   const bool metrics_was = telemetry::metrics_enabled();
   const bool tracing_was = telemetry::tracing_enabled();
-  telemetry::set_tracing_enabled(false);
-  telemetry::set_metrics_enabled(false);
-  const Timing off_t = r.time(step_once);
-  telemetry::set_metrics_enabled(true);
-  const Timing met_t = r.time(step_once);
-  telemetry::set_tracing_enabled(true);
-  const Timing trc_t = r.time(step_once);
+  // Configuration c: 0 off, 1 metrics, 2 metrics + tracing.
+  std::array<std::vector<double>, 3> secs;  // per configuration, per round
+  std::vector<double> met_ratio, trc_ratio;
+  step_once();  // warmup
+  for (int round = 0; round < 2 * r.repeat + 1; ++round) {
+    for (int k = 0; k < 3; ++k) {
+      const int c = (round + k) % 3;
+      telemetry::set_metrics_enabled(c >= 1);
+      telemetry::set_tracing_enabled(c == 2);
+      secs[c].push_back(r.window(step_once));
+    }
+    met_ratio.push_back(secs[1].back() / secs[0].back());
+    trc_ratio.push_back(secs[2].back() / secs[0].back());
+  }
   telemetry::set_metrics_enabled(metrics_was);
   telemetry::set_tracing_enabled(tracing_was);
+  const Timing off_t = summarize(secs[0]);
+  const Timing met_t = summarize(secs[1]);
+  const Timing trc_t = summarize(secs[2]);
 
-  const double metrics_over = std::max(0.0, met_t.min / off_t.min - 1.0);
-  const double traced_over = std::max(0.0, trc_t.min / off_t.min - 1.0);
+  const double metrics_over = std::max(0.0, summarize(met_ratio).median - 1.0);
+  const double traced_over = std::max(0.0, summarize(trc_ratio).median - 1.0);
   // Quick runs use 0.05 s windows (CI smoke boxes): the ratios there are
   // noise-dominated, so the gates relax by an order of magnitude. The
   // full-size gates are the recorded contract.
@@ -794,7 +814,7 @@ int telemetry_overhead(Run& r) {
         "telemetry_overhead gate failed (metrics %+.2f%% gate %.0f%%, traced "
         "%+.2f%% gate %.0f%%; off %.3fms)",
         metrics_over * 100, metrics_gate * 100, traced_over * 100,
-        traced_gate * 100, off_t.min * 1e3);
+        traced_gate * 100, off_t.median * 1e3);
   r.report({{"num_qubits", static_cast<double>(n)},
             {"threads", static_cast<double>(r.threads)},
             {"off_seconds_per_step", off_t.median},

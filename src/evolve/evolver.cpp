@@ -2,30 +2,13 @@
 
 #include <stdexcept>
 
-#include "telemetry/telemetry.hpp"
-
 namespace gecos {
 
 void Evolver::evolve(std::span<cplx> x, double t, int steps) const {
   if (steps < 1)
     throw std::invalid_argument("Evolver::evolve: steps must be >= 1");
   const double dt = t / steps;
-  if (!progress_) {
-    for (int i = 0; i < steps; ++i) step(x, dt);
-    return;
-  }
-  const std::uint64_t t0 = telemetry::now_ns();
-  for (int i = 0; i < steps; ++i) {
-    step(x, dt);
-    telemetry::ProgressEvent ev;
-    ev.phase = "evolve";
-    ev.iteration = static_cast<std::size_t>(i + 1);
-    ev.total = static_cast<std::size_t>(steps);
-    ev.elapsed_s = static_cast<double>(telemetry::now_ns() - t0) * 1e-9;
-    // Steps are uniform work, so the ETA is the linear extrapolation.
-    ev.eta_s = ev.elapsed_s / (i + 1) * (steps - i - 1);
-    progress_(ev);
-  }
+  for (int i = 0; i < steps; ++i) step(x, dt);
 }
 
 }  // namespace gecos

@@ -14,10 +14,8 @@
 #pragma once
 
 #include <span>
-#include <utility>
 
 #include "state/state_vector.hpp"
-#include "telemetry/progress.hpp"
 
 namespace gecos {
 
@@ -47,17 +45,6 @@ class Evolver {
   void evolve(StateVector& x, double t, int steps) const {
     evolve(x.amps(), t, steps);
   }
-
-  /// Installs a ProgressSink: the default evolve() loop reports phase
-  /// "evolve" once per completed step, and implementations may add their
-  /// own finer-grained phases (KrylovEvolver reports phase "krylov" per
-  /// committed substep). An empty function disables reporting. The sink is
-  /// invoked on the calling thread; it must not re-enter the evolver.
-  void set_progress(telemetry::ProgressFn fn) { progress_ = std::move(fn); }
-
- protected:
-  /// Progress sink shared with subclasses; empty by default (no reporting).
-  telemetry::ProgressFn progress_;
 };
 
 }  // namespace gecos

@@ -3,6 +3,7 @@
 // on read (size floor -> magic -> checksum -> version -> descriptor).
 #include "io/checkpoint.hpp"
 
+#include <dirent.h>
 #include <fcntl.h>
 #include <unistd.h>
 
@@ -43,14 +44,17 @@ bool slurp(const std::string& path, std::vector<unsigned char>& out) {
   return true;
 }
 
+/// The directory containing `path` ("." for a bare file name).
+std::string parent_dir(const std::string& path) {
+  const std::size_t slash = path.find_last_of('/');
+  return slash == std::string::npos ? std::string(".")
+                                    : path.substr(0, slash ? slash : 1);
+}
+
 /// fsync the directory containing `path` so the renames themselves are
 /// durable (best-effort: some filesystems reject directory fsync).
 void sync_parent_dir(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash ? slash : 1);
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  const int fd = ::open(parent_dir(path).c_str(), O_RDONLY | O_DIRECTORY);
   if (fd >= 0) {
     ::fsync(fd);
     ::close(fd);
@@ -266,99 +270,18 @@ bool checkpoint_exists(const std::string& path) {
 void remove_checkpoint(const std::string& path) noexcept {
   std::remove(path.c_str());
   std::remove((path + ".bak").c_str());
-  std::remove((path + ".tmp").c_str());
-}
-
-// ---------------------------------------------------------------------------
-// Type serializers
-
-void encode_sector_basis(PayloadWriter& w, const SectorBasis& basis) {
-  const std::vector<SpeciesSector> sp = basis.species();
-  w.put_u64(basis.n_qubits());
-  w.put_u64(sp.size());
-  for (const SpeciesSector& s : sp) {
-    w.put_u64(s.mask);
-    w.put_u64(s.count);
-  }
-}
-
-SectorBasis decode_sector_basis(PayloadReader& r) {
-  const std::uint64_t n = r.get_u64();
-  const std::uint64_t n_species = r.get_u64();
-  if (n_species > 64)  // more species than qubits cannot be a valid sector
-    throw Error(ErrorKind::io_corrupt,
-                "sector descriptor claims " + std::to_string(n_species) +
-                    " species");
-  std::vector<SpeciesSector> sp(static_cast<std::size_t>(n_species));
-  for (SpeciesSector& s : sp) {
-    s.mask = r.get_u64();
-    s.count = static_cast<std::size_t>(r.get_u64());
-  }
-  return SectorBasis(static_cast<std::size_t>(n), std::move(sp));
-}
-
-void save_state_vector(const std::string& path, const StateVector& psi) {
-  PayloadWriter w;
-  w.put_u64(psi.n_qubits());
-  w.put_u64(psi.dim());
-  w.put_cplx(psi.amps());
-  write_checkpoint(path, PayloadKind::kStateVector, w.bytes());
-}
-
-StateVector load_state_vector(const std::string& path) {
-  const Checkpoint ck =
-      read_checkpoint_with_fallback(path, PayloadKind::kStateVector);
-  PayloadReader r(ck.payload);
-  const std::uint64_t n = r.get_u64();
-  const std::uint64_t dim = r.get_u64();
-  if (n < 1 || n > 63 || dim != (std::uint64_t{1} << n))
-    throw Error(ErrorKind::io_corrupt,
-                path + ": state descriptor n=" + std::to_string(n) +
-                    " dim=" + std::to_string(dim) + " is inconsistent");
-  StateVector psi(static_cast<std::size_t>(n));
-  r.get_cplx(psi.amps());
-  r.require_end();
-  return psi;
-}
-
-void save_sector_vector(const std::string& path, const SectorVector& psi) {
-  PayloadWriter w;
-  encode_sector_basis(w, psi.basis());
-  w.put_u64(psi.dim());
-  w.put_cplx(psi.amps());
-  write_checkpoint(path, PayloadKind::kSectorVector, w.bytes());
-}
-
-SectorVector load_sector_vector(const std::string& path) {
-  const Checkpoint ck =
-      read_checkpoint_with_fallback(path, PayloadKind::kSectorVector);
-  PayloadReader r(ck.payload);
-  SectorBasis basis = decode_sector_basis(r);
-  const std::uint64_t dim = r.get_u64();
-  if (dim != basis.dim())
-    throw Error(ErrorKind::io_corrupt,
-                path + ": amplitude count " + std::to_string(dim) +
-                    " disagrees with sector dimension " +
-                    std::to_string(basis.dim()));
-  SectorVector psi{std::move(basis)};
-  r.get_cplx(psi.amps());
-  r.require_end();
-  return psi;
-}
-
-void save_sector_basis(const std::string& path, const SectorBasis& basis) {
-  PayloadWriter w;
-  encode_sector_basis(w, basis);
-  write_checkpoint(path, PayloadKind::kSectorBasis, w.bytes());
-}
-
-SectorBasis load_sector_basis(const std::string& path) {
-  const Checkpoint ck =
-      read_checkpoint_with_fallback(path, PayloadKind::kSectorBasis);
-  PayloadReader r(ck.payload);
-  SectorBasis basis = decode_sector_basis(r);
-  r.require_end();
-  return basis;
+  // Side files of writers killed between fopen and rename. Names are
+  // collected first so the directory is not modified mid-scan.
+  const std::string dir = parent_dir(path);
+  const std::string prefix = path.substr(path.find_last_of('/') + 1) + ".tmp.";
+  DIR* d = ::opendir(dir.c_str());
+  if (!d) return;
+  std::vector<std::string> stale;
+  while (const dirent* e = ::readdir(d))
+    if (std::strncmp(e->d_name, prefix.c_str(), prefix.size()) == 0)
+      stale.push_back(dir + "/" + e->d_name);
+  ::closedir(d);
+  for (const std::string& f : stale) std::remove(f.c_str());
 }
 
 }  // namespace gecos

@@ -2,14 +2,15 @@
 //
 // Long solves (the recorded n=32 sector ground state is ~100 s single-core;
 // ROADMAP item 2 targets n=36-40) die with nothing to show when the process
-// is killed at matvec 150. This layer gives every owning state type and
-// every solver a durable on-disk form. The wire layout is a fixed 24-byte
-// header (8-byte magic "GECOSCK1", u32 format version, u32 payload kind,
-// u64 payload size), the raw payload bytes, and a trailing XXH64 digest of
-// everything before it — see DESIGN.md "Checkpoint format & failure model"
-// for the byte-exact table. Multi-byte fields are native-endian: a file
-// moved across endianness fails the version check, which is the honest
-// answer (the amplitude payload would be byte-swapped anyway).
+// is killed at matvec 150. This layer gives the Lanczos solver and the
+// gecosd job journal a durable on-disk form. The wire layout is a fixed
+// 24-byte header (8-byte magic "GECOSCK1", u32 format version, u32 payload
+// kind, u64 payload size), the raw payload bytes, and a trailing XXH64
+// digest of everything before it — see DESIGN.md "Checkpoint format &
+// failure model" for the byte-exact table. Multi-byte fields are
+// native-endian: a file moved across endianness fails the version check,
+// which is the honest answer (the amplitude payload would be byte-swapped
+// anyway).
 //
 // Writes are crash-safe by construction: the full image is written to a
 // writer-unique side file `path + ".tmp.<pid>.<seq>"`, flushed and fsync'd,
@@ -30,7 +31,7 @@
 //
 // PayloadWriter/PayloadReader are the (de)serialization primitives: a
 // little append-only byte builder and a bounds-checked cursor. Amplitudes
-// are memcpy'd as raw IEEE doubles, so a save/load round trip is bitwise
+// are memcpy'd as raw IEEE doubles, so a write/read round trip is bitwise
 // exact — including signed zeros and NaN payloads.
 #pragma once
 
@@ -39,9 +40,7 @@
 #include <string>
 #include <vector>
 
-#include "state/state_vector.hpp"
-#include "symmetry/sector_basis.hpp"
-#include "symmetry/sector_vector.hpp"
+#include "linalg/blas1.hpp"
 #include "util/error.hpp"
 
 namespace gecos {
@@ -59,13 +58,11 @@ inline constexpr std::uint32_t kCheckpointVersion = 1;
 inline constexpr std::size_t kCheckpointHeaderSize = 24;
 
 /// What a checkpoint's payload contains. Stored in the header so a reader
-/// rejects e.g. a Lanczos state handed to load_state_vector().
+/// rejects e.g. a gecosd journal handed to Lanczos::resume(). Kinds 1-3
+/// (state vector, sector vector, sector basis) and 5 (imaginary-time
+/// state) are retired: no build writes them, and they are never reused.
 enum class PayloadKind : std::uint32_t {
-  kStateVector = 1,   ///< full 2^n state: n, dim, amplitudes
-  kSectorVector = 2,  ///< sector descriptor + rank-indexed amplitudes
-  kSectorBasis = 3,   ///< sector descriptor only (masks + counts)
   kLanczosState = 4,  ///< mid-flight thick-restart Lanczos solver state
-  kImagTimeState = 5, ///< mid-flight imaginary-time projection state
   kServeJob = 6,      ///< gecosd job journal: spec + state + result payload
 };
 
@@ -127,8 +124,8 @@ class PayloadReader {
 /// A validated checkpoint image: its payload kind, the payload bytes, and
 /// whether it was served from the `.bak` rotation instead of the primary.
 struct Checkpoint {
-  PayloadKind kind = PayloadKind::kStateVector;  ///< header payload kind
-  std::vector<unsigned char> payload;            ///< validated payload bytes
+  PayloadKind kind{};                  ///< header payload kind
+  std::vector<unsigned char> payload;  ///< validated payload bytes
   bool from_backup = false;  ///< true when read from path + ".bak"
 };
 
@@ -159,35 +156,10 @@ Checkpoint read_checkpoint_with_fallback(const std::string& path,
 /// no validation).
 bool checkpoint_exists(const std::string& path);
 
-/// Removes `path` and its `.tmp` / `.bak` siblings if present (cleanup for
-/// drivers and tests). Never throws.
+/// Removes `path`, its `.bak` rotation and every writer side file
+/// `path + ".tmp.*"` left by an interrupted write (one scan of the parent
+/// directory). Must not race a write_checkpoint() on the same path: the
+/// writer's side file would vanish before its rename. Never throws.
 void remove_checkpoint(const std::string& path) noexcept;
-
-/// Appends a SectorBasis descriptor (n_qubits, species count, then each
-/// species' mask + count) to a payload under construction.
-void encode_sector_basis(PayloadWriter& w, const SectorBasis& basis);
-
-/// Reads a SectorBasis descriptor written by encode_sector_basis() and
-/// reconstructs the basis (re-running full constructor validation).
-SectorBasis decode_sector_basis(PayloadReader& r);
-
-/// Saves a full 2^n state (payload kind kStateVector).
-void save_state_vector(const std::string& path, const StateVector& psi);
-
-/// Loads a kStateVector checkpoint, `.bak` fallback included; the returned
-/// state is bitwise equal to the one saved.
-StateVector load_state_vector(const std::string& path);
-
-/// Saves a sector state with its basis descriptor (kind kSectorVector).
-void save_sector_vector(const std::string& path, const SectorVector& psi);
-
-/// Loads a kSectorVector checkpoint, `.bak` fallback included.
-SectorVector load_sector_vector(const std::string& path);
-
-/// Saves a sector descriptor alone (kind kSectorBasis).
-void save_sector_basis(const std::string& path, const SectorBasis& basis);
-
-/// Loads a kSectorBasis checkpoint, `.bak` fallback included.
-SectorBasis load_sector_basis(const std::string& path);
 
 }  // namespace gecos

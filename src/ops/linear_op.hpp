@@ -1,13 +1,14 @@
 // LinearOperator: the one abstraction every statevector kernel sits behind.
 //
-// PauliSum, ScbSum, TermKernel, CsrMatrix and SumOperator all act on a
-// 2^n-amplitude statevector; before this interface each carried its own
-// ad-hoc apply signature. A LinearOperator exposes exactly one virtual hot
-// path — apply_add(x, y, scale): y += scale * A x — and the base class
-// derives the rest (overwriting apply, in-place apply with caller-owned
-// scratch, dimension bookkeeping). StateVector::expectation and the Trotter
-// evolution engine are written against this interface only, so every
-// concrete operator is usable in every simulation workload.
+// PauliSum, ScbSum and TermKernel act on a 2^n-amplitude statevector,
+// SectorOperator on the amplitudes of one U(1) sector; before this
+// interface each carried its own ad-hoc apply signature. A LinearOperator
+// exposes exactly one virtual hot path — apply_add(x, y, scale):
+// y += scale * A x — and the base class derives the rest (overwriting
+// apply, in-place apply with caller-owned scratch, dimension bookkeeping).
+// StateVector::expectation and the Trotter evolution engine are written
+// against this interface only, so every concrete operator is usable in
+// every simulation workload.
 //
 // Aliasing precondition: x and y must be DISTINCT buffers in every
 // apply/apply_add call. The kernels read x[s ^ flip]-style permuted indices
@@ -28,14 +29,13 @@ namespace gecos {
 /// Abstract linear operator on a 2^n-dimensional statevector.
 class LinearOperator {
  public:
-  /// Virtual destructor: operators are deleted through base pointers (e.g.
-  /// by SumOperator's shared ownership).
+  /// Virtual destructor: operators may be deleted through base pointers.
   virtual ~LinearOperator() = default;
 
   /// Qubit count n of the space the operator acts on.
   virtual std::size_t n_qubits() const = 0;
-  /// Statevector dimension; defaults to 2^n_qubits(). CsrMatrix overrides it
-  /// (its rows need not be a power of two).
+  /// Statevector dimension; defaults to 2^n_qubits(). SectorOperator
+  /// overrides it with its sector dimension.
   virtual std::size_t dim() const { return std::size_t{1} << n_qubits(); }
 
   /// y += scale * A x. The single virtual kernel every implementation

@@ -144,7 +144,7 @@ void validate_job_spec(const JobSpec& spec) {
     if (spec.n_up > up_bits) fail("n_up exceeds species mode count");
     if (spec.n_down > dn_bits) fail("n_down exceeds species mode count");
   }
-  if (spec.tol <= 0.0) fail("tol must be positive");
+  if (!(spec.tol > 0.0)) fail("tol must be positive");
   if (spec.kind == JobKind::kGroundState) {
     if (spec.num_eigenpairs < 1) fail("num_eigenpairs must be >= 1");
     if (spec.max_matvecs < 1) fail("max_matvecs must be >= 1");

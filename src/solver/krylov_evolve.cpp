@@ -6,9 +6,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "linalg/expm.hpp"
-#include "linalg/matrix.hpp"
-#include "telemetry/telemetry.hpp"
 #include "telemetry/trace.hpp"
 #include "util/error.hpp"
 
@@ -45,7 +42,6 @@ KrylovEvolver::KrylovEvolver(const LinearOperator& h, KrylovOptions opts)
   alpha_.resize(m);
   beta_.resize(m);
   coeffs_.resize(m);
-  if (opts.mode == KrylovMode::kArnoldi) hess_.resize((m + 1) * m);
   ws_.reserve(m);
   // Residual-trajectory capacity: m extensions per substep times a generous
   // substep allowance. Pushes are capacity-guarded, so a pathological
@@ -74,7 +70,6 @@ std::size_t KrylovEvolver::build_and_solve(cplx z, std::span<const cplx> x,
   vec_copy(basis_.vec(0), x);
   vec_scale(basis_.vec(0), cplx(1.0 / beta0));
 
-  const bool lanczos = opts_.mode == KrylovMode::kLanczos;
   std::size_t m = 0;
   for (std::size_t j = 0; j < m_cap; ++j) {
     // w lives in the next basis slot: a successful iteration normalizes it
@@ -83,26 +78,15 @@ std::size_t KrylovEvolver::build_and_solve(cplx z, std::span<const cplx> x,
     op_.apply(basis_.vec(j), w);
     ++last_.matvecs;
 
-    double b = 0;
-    if (lanczos) {
-      if (j > 0) vec_axpy(w, cplx(-beta_[j - 1]), basis_.vec(j - 1));
-      const double a = vec_dot(basis_.vec(j), w).real();
-      alpha_[j] = a;
-      vec_axpy(w, cplx(-a), basis_.vec(j));
-      // Full reorthogonalization: one modified GS pass over the whole
-      // prefix keeps the basis orthonormal to machine precision (the
-      // three-term recurrence above already removed the O(1) components).
-      basis_.project_out(w, j + 1, 1);
-      b = vec_norm(w);
-    } else {
-      // Arnoldi: two-pass Gram-Schmidt with coefficient recording into
-      // column j of the Hessenberg matrix.
-      for (std::size_t i = 0; i <= j; ++i) coeffs_[i] = cplx(0.0);
-      basis_.orthogonalize(w, j + 1, coeffs_, 2);
-      for (std::size_t i = 0; i <= j; ++i) hess_[i * m_cap + j] = coeffs_[i];
-      b = vec_norm(w);
-      hess_[(j + 1) * m_cap + j] = b;
-    }
+    if (j > 0) vec_axpy(w, cplx(-beta_[j - 1]), basis_.vec(j - 1));
+    const double a = vec_dot(basis_.vec(j), w).real();
+    alpha_[j] = a;
+    vec_axpy(w, cplx(-a), basis_.vec(j));
+    // Full reorthogonalization: one modified GS pass over the whole prefix
+    // keeps the basis orthonormal to machine precision (the three-term
+    // recurrence above already removed the O(1) components).
+    basis_.project_out(w, j + 1, 1);
+    const double b = vec_norm(w);
     m = j + 1;
     last_beta_ = b;
 
@@ -125,7 +109,7 @@ std::size_t KrylovEvolver::build_and_solve(cplx z, std::span<const cplx> x,
     }
     if (m == m_cap) break;  // cap hit: caller re-solves for a smaller step
 
-    if (lanczos) beta_[j] = b;
+    beta_[j] = b;
     vec_scale(w, cplx(1.0 / b));  // w becomes v_{j+1}
   }
   last_.subspace = std::max(last_.subspace, m);
@@ -133,16 +117,7 @@ std::size_t KrylovEvolver::build_and_solve(cplx z, std::span<const cplx> x,
 }
 
 double KrylovEvolver::solve_projection(cplx z, std::size_t m) const {
-  if (opts_.mode == KrylovMode::kLanczos) {
-    expm_tridiag_e1(alpha_, beta_, m, z, coeffs_, ws_);
-  } else {
-    const std::size_t m_cap = effective_cap(opts_.max_subspace, dim_);
-    Matrix hm(m, m);
-    for (std::size_t r = 0; r < m; ++r)
-      for (std::size_t c = 0; c < m; ++c) hm(r, c) = z * hess_[r * m_cap + c];
-    const Matrix em = expm(hm);
-    for (std::size_t r = 0; r < m; ++r) coeffs_[r] = em(r, 0);
-  }
+  expm_tridiag_e1(alpha_, beta_, m, z, coeffs_, ws_);
   return std::abs(coeffs_[m - 1]);
 }
 
@@ -155,7 +130,6 @@ void KrylovEvolver::apply_expm(cplx z, std::span<cplx> x) const {
   last_.substeps = 0;
   last_.residual_history.clear();  // keeps the reserved capacity
   if (z == cplx(0.0)) return;
-  const std::uint64_t t0 = progress_ ? telemetry::now_ns() : 0;
 
   // Committed-fraction loop: try the whole remaining interval; every failure
   // at the subspace cap halves the trial fraction. Each substep gets an
@@ -195,19 +169,6 @@ void KrylovEvolver::apply_expm(cplx z, std::span<cplx> x) const {
     }
     done += h;
     ++last_.substeps;
-    if (progress_) {
-      telemetry::ProgressEvent ev;
-      ev.phase = "krylov";
-      ev.iteration = last_.substeps;
-      ev.metric = done;  // fraction of the interval committed
-      ev.target = 1.0;
-      ev.matvecs = last_.matvecs;
-      ev.elapsed_s = static_cast<double>(telemetry::now_ns() - t0) * 1e-9;
-      // Substeps commit uniform fractions once the trial settles, so the
-      // linear extrapolation over the committed fraction is the ETA.
-      ev.eta_s = done > 0 ? ev.elapsed_s / done * (1.0 - done) : -1.0;
-      progress_(ev);
-    }
   }
 }
 

@@ -1,19 +1,18 @@
 // Krylov-projection time evolution: expm_multiply through LinearOperator.
 //
 // The Trotter engine exploits the term structure of an ScbSum; this evolver
-// needs only the apply_add hot path, so it propagates ANY LinearOperator —
-// PauliSum, ScbSum, SumOperator, CsrMatrix — with spectral accuracy. One
-// step projects H onto the Krylov space K_m(H, x) and applies the small
-// exponential exactly: x <- beta0 V_m exp(z T_m) e1 with z = -i dt. The
-// subspace is grown one matvec at a time until the a-posteriori residual
-// estimate beta_j |[exp(z T_j)]_{j,1}| meets the error budget; when the
-// budget cannot be met at the subspace cap, the step is split in half
-// repeatedly (each half gets half the budget, so the per-call total is
-// honored). Hermitian operators (the default, kLanczos) use the three-term
-// recurrence plus full reorthogonalization and the tridiagonal eigensolver;
-// kArnoldi handles general operators through a Hessenberg projection and
-// the dense expm. All large-vector work runs on the shared KrylovBasis /
-// BLAS-1 kernels; in kLanczos mode nothing allocates after the first step.
+// needs only the apply_add hot path, so it propagates ANY Hermitian
+// LinearOperator — PauliSum, ScbSum, SectorOperator — with spectral
+// accuracy. One step projects H onto the Krylov space K_m(H, x) and applies
+// the small exponential exactly: x <- beta0 V_m exp(z T_m) e1 with
+// z = -i dt. The subspace is grown one matvec at a time until the
+// a-posteriori residual estimate beta_j |[exp(z T_j)]_{j,1}| meets the error
+// budget; when the budget cannot be met at the subspace cap, the step is
+// split in half repeatedly (each half gets half the budget, so the per-call
+// total is honored). The projection is the Lanczos three-term recurrence
+// plus full reorthogonalization, and the small exponential comes from the
+// tridiagonal eigensolver. All large-vector work runs on the shared
+// KrylovBasis / BLAS-1 kernels; nothing allocates after the first step.
 // See DESIGN.md "Krylov solver layer".
 #pragma once
 
@@ -28,17 +27,10 @@
 
 namespace gecos {
 
-/// Projection flavor of a KrylovEvolver.
-enum class KrylovMode {
-  kLanczos,  ///< Hermitian three-term recurrence (default; allocation-free)
-  kArnoldi,  ///< general Hessenberg projection (dense expm per solve)
-};
-
 /// Tuning knobs for KrylovEvolver.
 struct KrylovOptions {
   std::size_t max_subspace = 30;  ///< Krylov dimension cap m (>= 2)
   double tol = 1e-12;             ///< per-step error budget, relative to ||x||
-  KrylovMode mode = KrylovMode::kLanczos;  ///< Hermitian vs general projection
   double breakdown_tol = 1e-12;   ///< beta below this: invariant subspace
 };
 
@@ -76,10 +68,10 @@ class KrylovEvolver : public Evolver {
   using Evolver::evolve;
   using Evolver::step;
 
-  /// General form x <- exp(z H) x: z = -i dt is the unitary step, z = -dt
-  /// the imaginary-time projection step (src/solver/imag_time.hpp). The
-  /// error budget opts.tol is relative to the input norm. A zero vector is
-  /// returned unchanged.
+  /// General form x <- exp(z H) x: z = -i dt is the unitary step, a real
+  /// z = -tau the imaginary-time filter (ThermalSampler). The error budget
+  /// opts.tol is relative to the input norm. A zero vector is returned
+  /// unchanged.
   void apply_expm(cplx z, std::span<cplx> x) const;
 
   /// Statistics of the most recent step()/apply_expm() call, including the
@@ -112,7 +104,6 @@ class KrylovEvolver : public Evolver {
   // object; see Evolver docs). All sized at construction.
   mutable KrylovBasis basis_;
   mutable std::vector<double> alpha_, beta_;  // Lanczos recurrence
-  mutable std::vector<cplx> hess_;            // Arnoldi Hessenberg, row-major
   mutable std::vector<cplx> coeffs_;          // exp(z T) e1
   mutable SymEigWorkspace ws_;
   mutable double last_beta_ = 0;  // outward coupling of the built projection

@@ -50,6 +50,8 @@ Lanczos::Lanczos(const LinearOperator& op, LanczosOptions opts)
       basis_(dim_ < 2 ? 2 : dim_, (m_ < 2 ? 2 : m_) + 1),
       rng_(opts.seed) {
   if (opts.k == 0) throw std::invalid_argument("Lanczos: k must be >= 1");
+  if (!(opts.tol > 0))
+    throw std::invalid_argument("Lanczos: tol must be positive");
   if (dim_ < 2) throw std::invalid_argument("Lanczos: operator dim < 2");
   if (opts.k + 2 > m_)
     throw std::invalid_argument(

@@ -122,10 +122,10 @@ class Lanczos {
  public:
   /// Captures the operator by reference (it must outlive the solver) and
   /// preallocates every buffer a solve touches. Throws
-  /// std::invalid_argument when k = 0, when the subspace cannot hold
-  /// k + 2 vectors, when a restart would keep min(k + 8, m - 2) >
-  /// KrylovBasis::kMaxCombine vectors, or when the operator dimension
-  /// is < 2.
+  /// std::invalid_argument when k = 0, when tol is not positive (NaN
+  /// included), when the subspace cannot hold k + 2 vectors, when a restart
+  /// would keep min(k + 8, m - 2) > KrylovBasis::kMaxCombine vectors, or
+  /// when the operator dimension is < 2.
   explicit Lanczos(const LinearOperator& op, LanczosOptions opts = {});
 
   /// Runs from a seeded random start vector. The result reference stays

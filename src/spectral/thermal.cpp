@@ -14,8 +14,7 @@ ThermalSampler::ThermalSampler(const LinearOperator& h, ThermalOptions opts)
     : op_(h),
       opts_(opts),
       dim_(h.dim()),
-      evolver_(h, KrylovOptions{opts.max_subspace, opts.krylov_tol,
-                                KrylovMode::kLanczos, 1e-12}) {
+      evolver_(h, KrylovOptions{opts.max_subspace, opts.krylov_tol}) {
   if (opts_.num_samples < 2)
     throw std::invalid_argument("ThermalSampler: num_samples must be >= 2");
   if (!(opts_.dbeta > 0.0))

@@ -54,15 +54,6 @@ KrylovBasis::~KrylovBasis() {
     ::madvise(reinterpret_cast<void*>(first), last - first, MADV_DONTNEED);
 }
 
-void KrylovBasis::reset(std::size_t dim) {
-  assert(dim >= 1 && dim * capacity_ <= store_.size() &&
-         "KrylovBasis::reset: new dim must fit the backing allocation");
-  dim_ = dim;
-  std::fill(store_.begin(),
-            store_.begin() + static_cast<std::ptrdiff_t>(dim_ * capacity_),
-            cplx(0.0));
-}
-
 std::span<cplx> KrylovBasis::vec(std::size_t j) {
   assert(j < capacity_);
   return {store_.data() + j * dim_, dim_};
@@ -71,18 +62,6 @@ std::span<cplx> KrylovBasis::vec(std::size_t j) {
 std::span<const cplx> KrylovBasis::vec(std::size_t j) const {
   assert(j < capacity_);
   return {store_.data() + j * dim_, dim_};
-}
-
-void KrylovBasis::orthogonalize(std::span<cplx> w, std::size_t count,
-                                std::span<cplx> h, int passes) const {
-  assert(w.size() == dim_ && count <= capacity_ && h.size() >= count);
-  for (int pass = 0; pass < passes; ++pass) {
-    for (std::size_t j = 0; j < count; ++j) {
-      const cplx c = vec_dot(vec(j), w);
-      vec_axpy(w, -c, vec(j));
-      h[j] += c;
-    }
-  }
 }
 
 void KrylovBasis::project_out(std::span<cplx> w, std::size_t count,

@@ -1,11 +1,11 @@
 // KrylovBasis: preallocated batched storage for Krylov subspace vectors.
 //
-// Every Krylov method in src/solver/ (Lanczos eigensolver, exp(zH) evolver,
-// imaginary-time projector) carries a set of m orthonormal statevectors next
-// to the 2^n state being processed. A KrylovBasis owns all m vectors in ONE
-// 64-byte-aligned block (same allocator as StateVector, contiguous so
-// basis-wide sweeps stream linearly), hands out per-vector spans, and
-// implements the batched primitives the solvers share: modified
+// Every Krylov method in src/solver/ (Lanczos eigensolver, exp(zH) evolver)
+// carries a set of m orthonormal statevectors next to the 2^n state being
+// processed. A KrylovBasis owns all m vectors in ONE 64-byte-aligned block
+// (same allocator as StateVector, contiguous so basis-wide sweeps stream
+// linearly), hands out per-vector spans, and implements the batched
+// primitives the solvers share: modified
 // Gram-Schmidt orthogonalization of a work vector against the stored prefix,
 // linear recombination into an outside vector (exp(T) coefficient
 // application) and in-place recombination of the slots themselves
@@ -48,31 +48,15 @@ class KrylovBasis {
   std::size_t dim() const { return dim_; }
   std::size_t capacity() const { return capacity_; }
 
-  /// Repartitions the backing allocation into `capacity()` slots of `dim`
-  /// amplitudes each and zero-fills them — reuse of one allocation across
-  /// solves of different vector lengths (e.g. a full-space basis re-aimed at
-  /// a sector dimension). PRECONDITION (debug-asserted, not checked in
-  /// release builds): dim >= 1 and dim * capacity() fits in the original
-  /// allocation — a larger dim would hand out overlapping/out-of-bounds
-  /// slot spans. This never allocates or shrinks the backing store.
-  void reset(std::size_t dim);
-
   /// View of slot j (unchecked beyond an assert; slots are caller-managed).
   std::span<cplx> vec(std::size_t j);
   std::span<const cplx> vec(std::size_t j) const;
 
   /// Modified Gram-Schmidt: removes the components of slots [0, count)
   /// from w one slot at a time (one vec_dot, then one vec_axpy against the
-  /// already-updated w), accumulating the removed coefficients into h
-  /// (h[j] += <v_j|w>). `passes` >= 2 gives the classic "twice is enough"
-  /// re-orthogonalization; corrections from later passes are folded into h
-  /// so h always holds the total removed component. w must not alias any
-  /// slot.
-  void orthogonalize(std::span<cplx> w, std::size_t count, std::span<cplx> h,
-                     int passes = 2) const;
-
-  /// Orthogonalization without coefficient recording (h discarded): the
-  /// re-orthogonalization primitive of the Lanczos three-term recurrence.
+  /// already-updated w) — the re-orthogonalization primitive of the Lanczos
+  /// three-term recurrence. `passes` >= 2 gives the classic "twice is
+  /// enough" re-orthogonalization. w must not alias any slot.
   void project_out(std::span<cplx> w, std::size_t count, int passes = 2) const;
 
   /// y += sum_{j < count} coeffs[j] * v_j (Ritz vectors, exp(T) e1

@@ -1,8 +1,8 @@
 // Solver progress reporting: the ProgressSink callback contract.
 //
 // Long solves (the n = 32 sector ground state runs ~102 s) were black boxes
-// until they returned. Every iterative driver — Lanczos, imag_time, the
-// Krylov and Trotter evolvers, the spectral estimators — now accepts an
+// until they returned. The Lanczos eigensolver, the spectral estimators
+// and gecosd's observable batches (run_observable_batch) accept an
 // optional callback invoked at iteration boundaries with a ProgressEvent:
 // where the solve is (iteration / total), how converged it is (metric vs
 // target), how much work it has done (matvecs, elapsed) and a best-effort
@@ -25,7 +25,7 @@ namespace gecos::telemetry {
 /// know keep their defaults (total = 0 means open-ended, eta_s < 0 means
 /// unknown).
 struct ProgressEvent {
-  const char* phase = "";     ///< driver tag, e.g. "lanczos", "krylov"
+  const char* phase = "";     ///< driver tag, e.g. "lanczos", "spectral.kpm"
   std::size_t iteration = 0;  ///< 1-based iteration / step / sample index
   std::size_t total = 0;      ///< planned iterations; 0 when open-ended
   double metric = 0.0;        ///< residual / error estimate / variance

@@ -1,14 +1,20 @@
 // Checkpoint-format suite: error taxonomy, XXH64 reference vectors,
-// bitwise save/load round trips for StateVector / SectorVector /
-// SectorBasis, the full corruption matrix (truncations at every 64-byte
-// boundary, single bit-flips across header/payload/checksum, wrong magic,
-// version skew) with a 100% detection requirement, the .bak fallback that
-// recovery is built on, and the concurrent-writer guarantee: two threads
-// hammering one path each publish complete images — a reader never sees an
-// interleaving of both.
+// bitwise write/read round trips of Lanczos-state and gecosd-journal
+// payloads, payload-kind confusion, the full corruption matrix (truncations
+// at every 64-byte boundary, single bit-flips across
+// header/payload/checksum, wrong magic, version skew) with a 100% detection
+// requirement, the .bak fallback that recovery is built on, writer side
+// files (ignored by readers, deleted by remove_checkpoint), and the
+// concurrent-writer guarantee: two threads hammering one path each publish
+// complete images — a reader never sees an interleaving of both.
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <cstring>
 #include <functional>
+#include <limits>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,9 +22,6 @@
 #include "fault_inject.hpp"
 #include "io/checkpoint.hpp"
 #include "io/xxhash.hpp"
-#include "state/state_vector.hpp"
-#include "symmetry/sector_basis.hpp"
-#include "symmetry/sector_vector.hpp"
 #include "test_util.hpp"
 #include "util/error.hpp"
 
@@ -48,6 +51,29 @@ bool throws_error(const std::function<void()>& fn) {
     return false;
   }
   return false;
+}
+
+/// An amplitude payload laid out as a 6-qubit state's (n, dim, then 64
+/// seeded Gaussian amplitudes): 1,040 bytes.
+std::vector<unsigned char> amp_payload(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::normal_distribution<double> g;
+  std::vector<cplx> amps(64);
+  for (cplx& a : amps) a = cplx(g(rng), g(rng));
+  PayloadWriter w;
+  w.put_u64(6);
+  w.put_u64(amps.size());
+  w.put_cplx(amps);
+  return {w.bytes().begin(), w.bytes().end()};
+}
+
+/// Payload of the fallback-aware read of `path` expecting `kind`.
+std::vector<unsigned char> load(const std::string& path, PayloadKind kind) {
+  return read_checkpoint_with_fallback(path, kind).payload;
+}
+
+bool file_exists(const std::string& path) {
+  return ::access(path.c_str(), F_OK) == 0;
 }
 
 }  // namespace
@@ -109,45 +135,56 @@ int main() {
     CHECK(throws_kind(ErrorKind::io_corrupt, [&] { under.require_end(); }));
   }
 
-  // -- property round trips: random state -> save -> load -> bitwise equal --
+  // -- property round trips: random payload -> write -> read -> bitwise equal
   const std::string path = "ckpt_test_state.bin";
   remove_checkpoint(path);
   for (std::uint64_t seed : {1ULL, 7ULL, 42ULL}) {
-    const StateVector psi = StateVector::random(6, seed);
-    save_state_vector(path, psi);
-    const StateVector back = load_state_vector(path);
-    CHECK_EQ(back.n_qubits(), psi.n_qubits());
-    CHECK(std::memcmp(back.amps().data(), psi.amps().data(),
-                      psi.dim() * sizeof(cplx)) == 0);
+    const std::vector<unsigned char> payload = amp_payload(seed);
+    write_checkpoint(path, PayloadKind::kLanczosState, payload);
+    const Checkpoint back =
+        read_checkpoint_with_fallback(path, PayloadKind::kLanczosState);
+    CHECK(back.kind == PayloadKind::kLanczosState);
+    CHECK(!back.from_backup);
+    CHECK(back.payload == payload);
   }
   {
-    const SectorBasis basis = SectorBasis::spinful(8, 2, 2);
-    const SectorVector psi = SectorVector::random(basis, 99);
-    const std::string spath = "ckpt_test_sector.bin";
-    remove_checkpoint(spath);
-    save_sector_vector(spath, psi);
-    const SectorVector back = load_sector_vector(spath);
-    CHECK(back.basis() == psi.basis());
-    CHECK(std::memcmp(back.amps().data(), psi.amps().data(),
-                      psi.dim() * sizeof(cplx)) == 0);
+    // A journal-shaped payload: strings, integers and raw doubles,
+    // including a signed zero and a NaN payload, come back bit for bit.
+    PayloadWriter w;
+    w.put_string("job spec");
+    w.put_u32(6);
+    w.put_f64(-0.0);
+    w.put_f64(std::numeric_limits<double>::quiet_NaN());
+    const std::vector<unsigned char> journal(w.bytes().begin(),
+                                             w.bytes().end());
+    const std::string jpath = "ckpt_test_journal.bin";
+    remove_checkpoint(jpath);
+    write_checkpoint(jpath, PayloadKind::kServeJob, journal);
+    CHECK(load(jpath, PayloadKind::kServeJob) == journal);
 
-    const std::string bpath = "ckpt_test_basis.bin";
-    remove_checkpoint(bpath);
-    save_sector_basis(bpath, basis);
-    CHECK(load_sector_basis(bpath) == basis);
+    // Empty payloads are legal images too.
+    const std::string epath = "ckpt_test_empty.bin";
+    remove_checkpoint(epath);
+    write_checkpoint(epath, PayloadKind::kLanczosState, {});
+    CHECK(load(epath, PayloadKind::kLanczosState).empty());
 
     // Payload-kind confusion is detected, not misparsed.
-    CHECK(throws_kind(ErrorKind::io_corrupt,
-                      [&] { (void)load_sector_basis(spath); }));
-    remove_checkpoint(spath);
-    remove_checkpoint(bpath);
+    CHECK(throws_kind(ErrorKind::io_corrupt, [&] {
+      (void)read_checkpoint(jpath, PayloadKind::kLanczosState);
+    }));
+    CHECK(throws_kind(ErrorKind::io_corrupt, [&] {
+      (void)load(epath, PayloadKind::kServeJob);
+    }));
+    remove_checkpoint(jpath);
+    remove_checkpoint(epath);
   }
 
   // -- corruption matrix: every injected fault must be detected -------------
   {
-    const StateVector psi = StateVector::random(6, 5);
+    const std::vector<unsigned char> payload = amp_payload(5);
     remove_checkpoint(path);
-    save_state_vector(path, psi);  // fresh file, no .bak to fall back to
+    // Fresh file, no .bak to fall back to.
+    write_checkpoint(path, PayloadKind::kLanczosState, payload);
     const std::vector<unsigned char> pristine = test::read_file(path);
     std::size_t injected = 0, detected = 0;
 
@@ -195,56 +232,63 @@ int main() {
     // And the pristine bytes still load (the matrix tested the file, not
     // the reader's goodwill).
     test::write_file(path, pristine);
-    const StateVector back = load_state_vector(path);
-    CHECK(std::memcmp(back.amps().data(), psi.amps().data(),
-                      psi.dim() * sizeof(cplx)) == 0);
+    CHECK(load(path, PayloadKind::kLanczosState) == payload);
   }
 
   // -- atomic rotation and .bak recovery ------------------------------------
   {
-    const StateVector first = StateVector::random(6, 11);
-    const StateVector second = StateVector::random(6, 22);
+    const PayloadKind kind = PayloadKind::kLanczosState;
+    const std::vector<unsigned char> first = amp_payload(11);
+    const std::vector<unsigned char> second = amp_payload(22);
     remove_checkpoint(path);
-    save_state_vector(path, first);
-    save_state_vector(path, second);  // rotates first -> .bak
+    write_checkpoint(path, kind, first);
+    write_checkpoint(path, kind, second);  // rotates first -> .bak
 
     // Primary intact: primary wins.
-    StateVector got = load_state_vector(path);
-    CHECK(std::memcmp(got.amps().data(), second.amps().data(),
-                      second.dim() * sizeof(cplx)) == 0);
+    CHECK(load(path, kind) == second);
 
     // Primary corrupted: recovery proceeds from the last good file.
     test::flip_bit(path, 100, 3);
-    Checkpoint ck =
-        read_checkpoint_with_fallback(path, PayloadKind::kStateVector);
+    const Checkpoint ck = read_checkpoint_with_fallback(path, kind);
     CHECK(ck.from_backup);
-    got = load_state_vector(path);
-    CHECK(std::memcmp(got.amps().data(), first.amps().data(),
-                      first.dim() * sizeof(cplx)) == 0);
+    CHECK(ck.payload == first);
 
     // Primary missing entirely: same story.
     test::remove_file(path);
-    got = load_state_vector(path);
-    CHECK(std::memcmp(got.amps().data(), first.amps().data(),
-                      first.dim() * sizeof(cplx)) == 0);
+    CHECK(load(path, kind) == first);
     CHECK(checkpoint_exists(path));  // .bak counts as existence
 
     // Both damaged: the primary's diagnosis is what surfaces.
-    save_state_vector(path, second);
+    write_checkpoint(path, kind, second);
     test::flip_bit(path, 50, 1);
     test::flip_bit(path + ".bak", 50, 1);
-    CHECK(throws_kind(ErrorKind::io_corrupt,
-                      [&] { (void)load_state_vector(path); }));
+    CHECK(throws_kind(ErrorKind::io_corrupt, [&] { (void)load(path, kind); }));
+  }
 
-    // A stray .tmp (torn write that never renamed) is ignored by readers.
-    remove_checkpoint(path);
-    save_state_vector(path, first);
-    test::write_file(path + ".tmp", {0xDE, 0xAD});
-    got = load_state_vector(path);
-    CHECK(std::memcmp(got.amps().data(), first.amps().data(),
-                      first.dim() * sizeof(cplx)) == 0);
-    remove_checkpoint(path);
-    CHECK(!checkpoint_exists(path));
+  // -- writer side files: a torn write that never renamed leaves
+  // `path.tmp.<pid>.<seq>`; readers ignore it and remove_checkpoint deletes
+  // it, in the working directory and in a named one ------------------------
+  {
+    const PayloadKind kind = PayloadKind::kLanczosState;
+    const std::vector<unsigned char> first = amp_payload(11);
+    ::mkdir("ckpt_test_dir", 0755);  // may exist from an earlier run
+    const std::string dpath = "ckpt_test_dir/job.ckpt";
+    for (const std::string& p : {path, dpath}) {
+      remove_checkpoint(p);
+      write_checkpoint(p, kind, first);
+      const std::string stray = p + ".tmp.4242.7";
+      const std::string other = p + "x.tmp.4242.7";  // another checkpoint's
+      test::write_file(stray, {0xDE, 0xAD});
+      test::write_file(other, {0xBE, 0xEF});
+      CHECK(load(p, kind) == first);
+      CHECK(!read_checkpoint_with_fallback(p, kind).from_backup);
+      remove_checkpoint(p);
+      CHECK(!checkpoint_exists(p));
+      CHECK(!file_exists(stray));
+      CHECK(file_exists(other));
+      test::remove_file(other);
+    }
+    ::rmdir("ckpt_test_dir");
   }
 
   // -- concurrent writers on one path: complete images, never interleaved ---

@@ -1,24 +1,25 @@
 // Lanczos eigensolver suite: k lowest eigenpairs against dense eigh on
 // Hubbard lattices up to n = 10, Ritz-vector residuals and orthonormality,
 // reorthogonalization-policy agreement, operator-interface genericity
-// (ScbSum / PauliSum / CsrMatrix), restart and deflation paths, the
-// ritz_vector() error paths, and the zero-allocation-after-warm-up pin via
-// the operator-new probe.
+// (ScbSum / PauliSum / a diagonal operator), restart and deflation paths,
+// the constructor and ritz_vector() error paths, and the
+// zero-allocation-after-warm-up pin via the operator-new probe.
 #include "alloc_probe.hpp"  // first: replaces global operator new
 // clang-format off
+#include <bit>
 #include <cmath>
 #include <cstdio>
-#include <memory>
+#include <limits>
 #include <random>
+#include <utility>
 #include <vector>
 // clang-format on
 
 #include "fermion/hubbard.hpp"
 #include "linalg/blas1.hpp"
 #include "linalg/expm.hpp"
-#include "linalg/sparse.hpp"
+#include "ops/linear_op.hpp"
 #include "ops/scb_sum.hpp"
-#include "ops/sum_operator.hpp"
 #include "solver/lanczos.hpp"
 #include "test_util.hpp"
 
@@ -36,6 +37,24 @@ std::vector<double> distinct_levels(const std::vector<double>& w,
     if (out.empty() || v - out.back() > tol) out.push_back(v);
   return out;
 }
+
+/// diag(d) on d.size() amplitudes (a power of two): a spectrum chosen
+/// entry by entry.
+class DiagonalOp : public LinearOperator {
+ public:
+  explicit DiagonalOp(std::vector<double> d) : d_(std::move(d)) {}
+  std::size_t n_qubits() const override {
+    return static_cast<std::size_t>(std::bit_width(d_.size()) - 1);
+  }
+  using LinearOperator::apply_add;
+  void apply_add(std::span<const cplx> x, std::span<cplx> y,
+                 cplx s) const override {
+    for (std::size_t i = 0; i < d_.size(); ++i) y[i] += s * (d_[i] * x[i]);
+  }
+
+ private:
+  std::vector<double> d_;
+};
 
 }  // namespace
 
@@ -136,10 +155,10 @@ int main() {
   // True residuals are checked, not the solver's own estimates ------------
   {
     const std::size_t nn = 1024;
-    std::vector<Triplet> t;
+    std::vector<double> spectrum(nn);
     for (std::size_t i = 0; i < nn; ++i)
-      t.push_back({i, i, cplx(static_cast<double>(i * i) / 100.0)});
-    const CsrMatrix d(nn, nn, t);
+      spectrum[i] = static_cast<double>(i * i) / 100.0;
+    const DiagonalOp d(spectrum);
     LanczosOptions lo;
     lo.k = 4;
     lo.tol = 1e-10;
@@ -158,8 +177,7 @@ int main() {
     }
   }
 
-  // -- interface genericity: the same spectrum through PauliSum, CsrMatrix
-  // and mixed-representation SumOperator backends ---------------------------
+  // -- interface genericity: the same spectrum through the PauliSum backend -
   {
     HubbardParams p;
     p.lx = 4;
@@ -173,15 +191,6 @@ int main() {
 
     const PauliSum hp = h.to_pauli();
     CHECK_NEAR(Lanczos(hp, lo).solve().eigenvalues[0], e_scb, 1e-10);
-
-    const CsrMatrix hc = CsrMatrix::from_dense(h.to_matrix(), 1e-14);
-    CHECK_NEAR(Lanczos(hc, lo).solve().eigenvalues[0], e_scb, 1e-10);
-
-    // Mixed sum (H/2 as SCB) + (H/2 as CSR) — still the same operator.
-    SumOperator mixed;
-    mixed.add(std::make_shared<ScbSum>(h), cplx(0.5));
-    mixed.add(std::make_shared<CsrMatrix>(hc), cplx(0.5));
-    CHECK_NEAR(Lanczos(mixed, lo).solve().eigenvalues[0], e_scb, 1e-10);
   }
 
   // -- start-vector overload: beginning at the ground state converges on
@@ -214,10 +223,9 @@ int main() {
   // an exact eigenvector, so the first extension breaks down and k = 2
   // forces the random-deflation path ----------------------------------------
   {
-    std::vector<Triplet> t;
-    for (std::size_t i = 0; i < 16; ++i)
-      t.push_back({i, i, cplx(static_cast<double>(i))});
-    const CsrMatrix diag(16, 16, t);
+    std::vector<double> spectrum(16);
+    for (std::size_t i = 0; i < 16; ++i) spectrum[i] = static_cast<double>(i);
+    const DiagonalOp diag(spectrum);
     LanczosOptions lo;
     lo.k = 2;
     lo.tol = 1e-10;
@@ -244,6 +252,20 @@ int main() {
       threw = true;
     }
     CHECK(threw);
+    // A tol that is not positive, NaN included, is rejected up front: a NaN
+    // threshold would switch selective reorthogonalization off.
+    for (const double tol : {0.0, -1e-10,
+                             std::numeric_limits<double>::quiet_NaN()}) {
+      threw = false;
+      try {
+        LanczosOptions lo;
+        lo.tol = tol;
+        Lanczos bad(h, lo);
+      } catch (const std::invalid_argument&) {
+        threw = true;
+      }
+      CHECK(threw);
+    }
     threw = false;
     try {
       LanczosOptions lo;

@@ -1,9 +1,8 @@
 // Interrupt/resume suite: a checkpointing Lanczos run cut off by a matvec
 // budget resumes into the bit-identical trajectory (same eigenvalues, same
 // final matvec count as the uninterrupted run); recovery falls back to
-// .bak when the primary is damaged; geometry mismatches are rejected;
-// imaginary-time projections resume with their accumulated beta; and the
-// same machinery works unchanged on sector-restricted operators.
+// .bak when the primary is damaged; geometry mismatches are rejected; and
+// the same machinery works unchanged on sector-restricted operators.
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -13,7 +12,6 @@
 #include "fermion/hubbard.hpp"
 #include "io/checkpoint.hpp"
 #include "ops/scb_sum.hpp"
-#include "solver/imag_time.hpp"
 #include "solver/lanczos.hpp"
 #include "state/state_vector.hpp"
 #include "symmetry/sector_operator.hpp"
@@ -41,7 +39,6 @@ bool throws_kind(ErrorKind kind, Fn&& fn) {
 
 int main() {
   const std::string lpath = "resume_test_lanczos.bin";
-  const std::string ipath = "resume_test_imag.bin";
 
   // -- Lanczos: interrupted + resumed == uninterrupted ----------------------
   HubbardParams ring;  // 1D periodic ring, n = 8
@@ -145,82 +142,6 @@ int main() {
     remove_checkpoint(lpath);
     Lanczos gone(h, lo);
     CHECK(throws_kind(ErrorKind::io_corrupt, [&] { (void)gone.resume(lpath); }));
-  }
-
-  // -- imaginary time: resume continues the filter from the saved state -----
-  {
-    HubbardParams chain;  // n = 6
-    chain.lx = 6;
-    chain.u = 2.0;
-    const ScbSum h6 = hubbard_scb(chain);
-    LanczosOptions glo;
-    glo.k = 1;
-    glo.tol = 1e-11;
-    const double e0 = Lanczos(h6, glo).solve().eigenvalues[0];
-
-    ImagTimeOptions io;
-    io.dt = 0.2;
-    io.variance_tol = 1e-8;
-    io.max_steps = 400;
-
-    StateVector psi_ref = StateVector::random(6, 7);
-    const ImagTimeResult ra = imag_time_ground_state(h6, psi_ref, io);
-    CHECK(ra.converged);
-    CHECK_NEAR(ra.energy, e0, 1e-5);
-
-    ImagTimeOptions ic = io;
-    ic.checkpoint_path = ipath;
-    ic.checkpoint_interval = 2;
-    remove_checkpoint(ipath);
-    {
-      ImagTimeOptions cut = ic;
-      cut.max_steps = 4;  // interrupt after four filter steps
-      StateVector psi = StateVector::random(6, 7);
-      const ImagTimeResult ri = imag_time_ground_state(h6, psi, cut);
-      CHECK(!ri.converged);
-      CHECK_EQ(ri.steps, 4);
-      CHECK_EQ(ri.checkpoints_written, 2);  // at steps 2 and 4
-      CHECK_NEAR(ri.beta, 4 * io.dt, 1e-12);
-    }
-    {
-      ImagTimeOptions res = ic;
-      res.resume = true;
-      StateVector psi(6);  // contents replaced by the checkpoint
-      const ImagTimeResult rr = imag_time_ground_state(h6, psi, res);
-      CHECK(rr.converged);
-      CHECK(rr.resumed);
-      CHECK_EQ(rr.resumed_steps, 4);
-      CHECK_NEAR(rr.beta, static_cast<double>(rr.steps) * io.dt, 1e-9);
-      CHECK_NEAR(rr.energy, e0, 1e-5);
-      // Physics-identical: both runs filter to the same ground state.
-      CHECK_NEAR(rr.energy, ra.energy, 1e-6);
-      std::printf("imag_time resume: E=%.10f beta=%.2f steps=%zu (saved %zu)\n",
-                  rr.energy, rr.beta, rr.steps, rr.resumed_steps);
-    }
-
-    // Resuming into the wrong operator dimension is rejected.
-    {
-      ImagTimeOptions res = ic;
-      res.resume = true;
-      std::vector<cplx> big(std::size_t{1} << 8, cplx(1.0));
-      CHECK(throws_kind(ErrorKind::dim_mismatch, [&] {
-        (void)imag_time_ground_state(h, std::span<cplx>(big), res);
-      }));
-    }
-
-    // opts.resume with no file present is a fresh start, not an error —
-    // drivers keep a single code path.
-    {
-      remove_checkpoint(ipath);
-      ImagTimeOptions res = ic;
-      res.resume = true;
-      StateVector psi = StateVector::random(6, 7);
-      const ImagTimeResult rf = imag_time_ground_state(h6, psi, res);
-      CHECK(rf.converged);
-      CHECK(!rf.resumed);
-      CHECK_NEAR(rf.energy, e0, 1e-5);
-      remove_checkpoint(ipath);
-    }
   }
 
   // -- sector-restricted operators resume through the same machinery --------

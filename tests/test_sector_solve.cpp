@@ -2,13 +2,12 @@
 // SectorOperator through LinearOperator. Pins (1) sector Lanczos minimized
 // over all sectors == full-space dense ground state (the sector decomposition
 // is exhaustive), (2) sector Lanczos == dense eigh of the explicitly
-// projected sector matrix per sector, (3) imaginary-time projection agrees
-// with sector Lanczos, (4) sector KrylovEvolver == full-space KrylovEvolver
-// on embedded states, (5) warm sector Lanczos re-solves allocate nothing,
-// (6) KrylovBasis::reset repartitioning, (7) KrylovBasis::
-// combine_in_place bitwise equal to accumulate() at 1 and 4 threads on
-// every SIMD tier the host has, and (8) a basis large enough to release its
-// pages on destruction comes back zero-filled when built again.
+// projected sector matrix per sector, (3) sector KrylovEvolver == full-space
+// KrylovEvolver on embedded states, (4) warm sector Lanczos re-solves
+// allocate nothing, (5) KrylovBasis::combine_in_place bitwise equal to
+// accumulate() at 1 and 4 threads on every SIMD tier the host has, and (6) a
+// basis large enough to release its pages on destruction comes back
+// zero-filled when built again.
 #include "alloc_probe.hpp"  // first: replaces global operator new
 // clang-format off
 #include <algorithm>
@@ -28,7 +27,6 @@
 #include "linalg/matrix.hpp"
 #include "ops/scb_sum.hpp"
 #include "simd/simd.hpp"
-#include "solver/imag_time.hpp"
 #include "solver/krylov_evolve.hpp"
 #include "solver/lanczos.hpp"
 #include "state/krylov_basis.hpp"
@@ -153,33 +151,6 @@ int main() {
     CHECK_NEAR(best, full_e0, 1e-8);
   }
 
-  // -- sector Lanczos vs imaginary-time projection (independent principle) ---
-  {
-    HubbardParams p;  // spinless ring, n = 10
-    p.lx = 10;
-    p.u = 2.0;
-    p.mu = 0.3;
-    p.periodic_x = true;
-    const ScbSum h = hubbard_scb(p);
-    const SectorBasis b = hubbard_sector(p, 5);
-    CHECK_EQ(b.dim(), std::size_t{252});
-    const SectorOperator hs(b, h);
-
-    LanczosOptions lo;
-    lo.tol = 1e-10;
-    Lanczos solver(hs, lo);
-    const double e0 = solver.solve().eigenvalues[0];
-
-    SectorVector psi = SectorVector::random(b, 97);
-    ImagTimeOptions io;
-    io.variance_tol = 1e-10;
-    const ImagTimeResult ir = imag_time_ground_state(hs, psi.amps(), io);
-    CHECK(ir.converged);
-    CHECK_NEAR(ir.energy, e0, 1e-6);
-    // The projected state is the Lanczos Ritz vector up to a global phase.
-    CHECK(vec_diff_up_to_phase(psi.amps(), solver.ritz_vector(0)) < 1e-4);
-  }
-
   // -- sector KrylovEvolver == full-space KrylovEvolver on embedded states ---
   {
     HubbardParams p;  // 3x2 spinful lattice, n = 12
@@ -234,22 +205,6 @@ int main() {
 #endif
     std::printf("alloc probe: %ld allocations during warm sector re-solve\n",
                 delta);
-  }
-
-  // -- KrylovBasis::reset repartitions one allocation across dimensions ------
-  {
-    KrylovBasis kb(64, 4);  // 256 amplitudes total
-    kb.vec(3)[63] = cplx(2.0);
-    kb.reset(32);  // same capacity, half the dim: fits the allocation
-    CHECK_EQ(kb.dim(), std::size_t{32});
-    CHECK_EQ(kb.capacity(), std::size_t{4});
-    for (std::size_t j = 0; j < 4; ++j)
-      for (const cplx& a : kb.vec(j)) CHECK(a == cplx(0.0));
-    kb.vec(3)[31] = cplx(1.0);
-    kb.reset(64);  // back to the construction dim: also fits
-    CHECK_EQ(kb.dim(), std::size_t{64});
-    for (std::size_t j = 0; j < 4; ++j)
-      for (const cplx& a : kb.vec(j)) CHECK(a == cplx(0.0));
   }
 
   // -- a basis of at least kReleaseBytes releases its pages when destroyed --

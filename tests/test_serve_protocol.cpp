@@ -13,6 +13,7 @@
 
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
@@ -323,6 +324,11 @@ int main() {
     }));
     CHECK(throws_kind(ErrorKind::protocol, [] {
       JobSpec s = tiny_ground();
+      s.tol = std::numeric_limits<double>::quiet_NaN();
+      validate_job_spec(s);
+    }));
+    CHECK(throws_kind(ErrorKind::protocol, [] {
+      JobSpec s = tiny_ground();
       s.kind = JobKind::kExpectation;
       s.steps = 4;
       // expectation without observables
@@ -523,6 +529,13 @@ int main() {
         JobSpec bad = tiny_ground();
         bad.kind = JobKind::kSpectral;
         bad.w_points = (std::uint64_t{1} << 24) + 1;
+        (void)client.submit(bad);
+      }));
+      // A NaN tol never reaches the solver (where it would surface as a
+      // breakdown mid-solve).
+      CHECK(throws_kind(ErrorKind::protocol, [&] {
+        JobSpec bad = tiny_ground();
+        bad.tol = std::numeric_limits<double>::quiet_NaN();
         (void)client.submit(bad);
       }));
 

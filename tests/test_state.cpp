@@ -1,17 +1,13 @@
 // StateVector layer and the unified LinearOperator interface: construction,
 // norms and inner products, expectation values against dense quadratic
 // forms, in-place apply through the scratch path, and interface conformance
-// of every concrete operator (PauliSum, ScbSum, TermKernel, CsrMatrix,
-// SumOperator).
-#include <memory>
+// of the concrete operators (PauliSum, ScbSum, TermKernel).
 #include <random>
 #include <vector>
 
 #include "linalg/blas1.hpp"
-#include "linalg/sparse.hpp"
 #include "ops/pauli.hpp"
 #include "ops/scb_sum.hpp"
-#include "ops/sum_operator.hpp"
 #include "ops/term.hpp"
 #include "state/state_vector.hpp"
 #include "test_util.hpp"
@@ -128,57 +124,6 @@ int main() {
     k.apply(x.amps(), y);
     CHECK_NEAR(vec_max_abs_diff(y, t.bare_matrix().apply(x.amps())), 0.0,
                1e-12);
-  }
-
-  // CsrMatrix conformance: n_qubits/dim and apply_add with scale.
-  {
-    const ScbSum s = random_hermitian_sum(3, 3, rng);
-    const Matrix m = s.to_matrix();
-    const CsrMatrix csr = CsrMatrix::from_dense(m, 1e-14);
-    CHECK_EQ(csr.n_qubits(), std::size_t{3});
-    CHECK_EQ(csr.dim(), std::size_t{8});
-    const StateVector x = StateVector::random(3, 11);
-    CHECK_NEAR(x.expectation(csr) - dense_expectation(m, x.amps()), 0.0,
-               1e-12);
-    // Non-power-of-two rows stay usable as CSR but reject n_qubits().
-    const CsrMatrix odd(3, 3, {{0, 0, cplx(1.0)}});
-    bool threw = false;
-    try {
-      (void)odd.n_qubits();
-    } catch (const std::invalid_argument&) {
-      threw = true;
-    }
-    CHECK(threw);
-  }
-
-  // SumOperator: mixed representations compose linearly.
-  {
-    const std::size_t n = 3;
-    const ScbSum s1 = random_hermitian_sum(n, 3, rng);
-    const ScbSum s2 = random_hermitian_sum(n, 2, rng);
-    auto sum = std::make_shared<SumOperator>();
-    sum->add(std::make_shared<ScbSum>(s1), cplx(2.0));
-    sum->add(std::make_shared<PauliSum>(s2.to_pauli()), cplx(-0.5));
-    sum->add(std::make_shared<CsrMatrix>(CsrMatrix::from_dense(s1.to_matrix())),
-             cplx(0.0, 1.0));
-    CHECK_EQ(sum->size(), std::size_t{3});
-    CHECK_EQ(sum->n_qubits(), n);
-    const Matrix expect = s1.to_matrix() * cplx(2.0) +
-                          s2.to_matrix() * cplx(-0.5) +
-                          s1.to_matrix() * cplx(0.0, 1.0);
-    const StateVector x = StateVector::random(n, 21);
-    std::vector<cplx> y(x.dim());
-    sum->apply(x.amps(), y);
-    CHECK_NEAR(vec_max_abs_diff(y, expect.apply(x.amps())), 0.0, 1e-12);
-
-    // Mixed qubit counts are rejected.
-    bool threw = false;
-    try {
-      sum->add(std::make_shared<ScbSum>(random_hermitian_sum(2, 1, rng)));
-    } catch (const std::invalid_argument&) {
-      threw = true;
-    }
-    CHECK(threw);
   }
 
   // apply_inplace: the sanctioned in-place path matches the two-buffer one.
