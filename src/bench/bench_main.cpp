@@ -20,6 +20,7 @@
 #include <array>
 #include <bit>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <cstdarg>
 #include <cstdint>
@@ -29,6 +30,7 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <random>
 #include <span>
 #include <sstream>
@@ -58,6 +60,7 @@
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace.hpp"
 #include "util/parallel.hpp"
+#include "util/parse.hpp"
 
 using namespace gecos;
 
@@ -213,9 +216,9 @@ FermionSum molecular_workload(bool quick, std::size_t& modes) {
 }
 
 /// Recorded full-space Lanczos ground-state energy of the n = 20 quench
-/// lattice, the value perfbench ground_full and resume_driver also gate
-/// against. sector_xcheck gates the ground-sector solve against it without
-/// paying for a full-space re-solve.
+/// lattice, the value perfbench ground_full and serve_smoke's resumed
+/// ground-sector solve also gate against. sector_xcheck gates the
+/// ground-sector solve against it without paying for a full-space re-solve.
 constexpr double kFullE0N20 = -13.8785798502;
 
 // -- term -> Pauli expansion (the Fig. 1 "mapping" arrow) --------------------
@@ -533,14 +536,14 @@ int hubbard_quench(Run& r) {
   const std::size_t dim = std::size_t{1} << n;
   const ScbSum h = hubbard_scb(hq);
   const TrotterEvolver ev(h);  // fused schedule (the production default)
-  const TrotterEvolver plain(h, 1e-12, 2, false);  // one sweep per term
+  const TrotterEvolver plain(h, false);  // one sweep per term
   const double dt = 0.02;
 
   StateVector ga = StateVector::product(n, hubbard_cdw_occupation(hq));
   StateVector gb = ga;
   for (int s = 0; s < 5; ++s) {
-    ev.step(ga, dt, 2);
-    plain.step(gb, dt, 2);
+    ev.step(ga.amps(), dt, 2);
+    plain.step(gb.amps(), dt, 2);
   }
   const double fdiff = ga.max_abs_diff(gb);
   if (fdiff > 1e-12)
@@ -552,13 +555,13 @@ int hubbard_quench(Run& r) {
   StateVector psi = StateVector::product(n, hubbard_cdw_occupation(hq));
   const double e0 = psi.expectation(h).real();
   const Timing step_t = r.time([&] {
-    ev.step(psi, dt, 2);
+    ev.step(psi.amps(), dt, 2);
     sink += static_cast<std::size_t>(psi[0].real() < 2);
   });
   const double drift = std::abs(psi.expectation(h).real() - e0);
   StateVector psi2 = StateVector::product(n, hubbard_cdw_occupation(hq));
   const Timing plain_t = r.time([&] {
-    plain.step(psi2, dt, 2);
+    plain.step(psi2.amps(), dt, 2);
     sink += static_cast<std::size_t>(psi2[0].real() < 2);
   });
   const double step_amps =
@@ -716,7 +719,7 @@ int sector_quench(Run& r) {
   const Timing s_t = r.time([&] { sector_ev.step(spsi.amps(), dt); });
   const std::size_t s_matvecs = sector_ev.last_matvecs();
   StateVector fpsi = StateVector::product(n, occ);
-  const Timing f_t = r.time([&] { full_ev.step(fpsi, dt); });
+  const Timing f_t = r.time([&] { full_ev.step(fpsi.amps(), dt); });
 
   // Cross-check over a fresh short quench in both spaces.
   SectorVector xs = SectorVector::config_state(basis, occ);
@@ -724,7 +727,7 @@ int sector_quench(Run& r) {
   const int xsteps = 5;
   for (int s = 0; s < xsteps; ++s) {
     sector_ev.step(xs.amps(), dt);
-    full_ev.step(xf, dt);
+    full_ev.step(xf.amps(), dt);
   }
   const double xdiff = xs.embed().max_abs_diff(xf);
   if (xdiff > 1e-8)
@@ -776,7 +779,7 @@ int telemetry_overhead(Run& r) {
   const double dt = 0.02;
   StateVector psi = StateVector::product(n, hubbard_cdw_occupation(hq));
   const auto step_once = [&] {
-    ev.step(psi, dt, 2);
+    ev.step(psi.amps(), dt, 2);
     sink += static_cast<std::size_t>(psi[0].real() < 2);
   };
 
@@ -1066,12 +1069,13 @@ int main(int argc, char** argv) {
     } else if (a == "--repeat") {
       const char* v = arg_of(i, "a count");
       if (v == nullptr) return 2;
-      run.repeat = std::atoi(v);
-      if (run.repeat < 1) {
+      const std::optional<std::uint64_t> k = parse_uint(v, 1, INT_MAX);
+      if (!k) {
         std::fprintf(stderr, "%s: --repeat needs a positive count, got '%s'\n",
                      argv[0], v);
         return 2;
       }
+      run.repeat = static_cast<int>(*k);
     } else if (a == "--threads") {
       const char* v = arg_of(i, "a count");
       if (v == nullptr) return 2;

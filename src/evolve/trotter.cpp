@@ -266,15 +266,11 @@ double TermExp::apply_bytes() const {
   return walked * (diagonal_ ? 32.0 : 64.0);
 }
 
-TrotterEvolver::TrotterEvolver(const ScbSum& h, double tol, int order,
-                               bool fuse)
-    : order_(order), fuse_(fuse) {
+TrotterEvolver::TrotterEvolver(const ScbSum& h, bool fuse) : fuse_(fuse) {
   n_ = h.num_qubits();
   if (n_ == 0)
     throw std::invalid_argument("TrotterEvolver: empty Hamiltonian");
-  if (order != 1 && order != 2)
-    throw std::invalid_argument("TrotterEvolver: order must be 1 or 2");
-  std::vector<ScbTerm> terms = h.hermitian_terms(tol);
+  std::vector<ScbTerm> terms = h.hermitian_terms();
   // Canonical diagonal-major splitting order: all diagonal terms first
   // (mutually commuting, so their relative order is immaterial), then the
   // off-diagonal terms in input order. Any term order is an equally valid
@@ -396,21 +392,12 @@ void TrotterEvolver::step(std::span<cplx> x, double dt, int order) const {
   }
 }
 
-void TrotterEvolver::step(StateVector& x, double dt, int order) const {
-  step(x.amps(), dt, order);
-}
-
 void TrotterEvolver::evolve(std::span<cplx> x, double t, int steps,
                             int order) const {
   if (steps < 1)
     throw std::invalid_argument("TrotterEvolver::evolve: steps must be >= 1");
   const double dt = t / steps;
   for (int i = 0; i < steps; ++i) step(x, dt, order);
-}
-
-void TrotterEvolver::evolve(StateVector& x, double t, int steps,
-                            int order) const {
-  evolve(x.amps(), t, steps, order);
 }
 
 }  // namespace gecos

@@ -42,7 +42,6 @@
 #include <span>
 #include <vector>
 
-#include "evolve/evolver.hpp"
 #include "ops/scb_sum.hpp"
 #include "ops/term.hpp"
 #include "state/state_vector.hpp"
@@ -95,21 +94,17 @@ class TermExp {
   int run_bits_ = 0;             // runs path: log2 of the run length, else 0
 };
 
-/// Product-formula propagator for a Hermitian ScbSum (an Evolver, so quench
-/// workloads can swap it against the Krylov integrator).
-class TrotterEvolver : public Evolver {
+/// Product-formula propagator for a Hermitian ScbSum.
+class TrotterEvolver {
  public:
-  /// Gathers h.hermitian_terms(tol) (throws if the sum is not Hermitian)
-  /// and compiles one TermExp per term, diagonal terms first. `order` (1 or
-  /// 2) is the product-formula order used by the two-argument Evolver entry
-  /// points. `fuse` folds the diagonal prefix into one phase table (see the
-  /// file comment); fuse = false keeps one sweep per term — the reference
-  /// the fused path is benchmarked and tested against.
-  explicit TrotterEvolver(const ScbSum& h, double tol = 1e-12, int order = 2,
-                          bool fuse = true);
+  /// Gathers h.hermitian_terms() (throws if the sum is not Hermitian) and
+  /// compiles one TermExp per term, diagonal terms first. `fuse` folds the
+  /// diagonal prefix into one phase table (see the file comment); fuse =
+  /// false keeps one sweep per term — the reference the fused path is
+  /// benchmarked and tested against.
+  explicit TrotterEvolver(const ScbSum& h, bool fuse = true);
 
-  /// Qubit count and number of compiled term exponentials.
-  std::size_t n_qubits() const override { return n_; }
+  /// Number of compiled term exponentials.
   std::size_t num_terms() const { return exps_.size(); }
   /// Sweeps per forward pass: the phase table (if any) plus one per term
   /// outside it (== num_terms() when fuse = false).
@@ -123,26 +118,15 @@ class TrotterEvolver : public Evolver {
   /// model divides this by measured step time).
   double step_traffic_bytes(int order) const;
 
-  /// Evolver step at the configured default order.
-  void step(std::span<cplx> x, double dt) const override {
-    step(x, dt, order_);
-  }
-  /// StateVector / evolve entry points of the Evolver base.
-  using Evolver::evolve;
-  using Evolver::step;
-
   /// One Trotter step x <- U(dt) x in place. order 1: prod_t exp(-i dt H_t);
-  /// order 2 (Strang): forward half-sweep then reverse half-sweep, error
-  /// O(dt^3) per step. Throws on any other order.
-  void step(std::span<cplx> x, double dt, int order) const;
-  /// StateVector overload of the explicit-order step().
-  void step(StateVector& x, double dt, int order) const;
+  /// order 2 (Strang, the default): forward half-sweep then reverse
+  /// half-sweep, error O(dt^3) per step. Throws on any other order.
+  void step(std::span<cplx> x, double dt, int order = 2) const;
 
   /// steps equal Trotter steps of size t / steps: x <- U(dt)^steps x.
-  /// Global error O(dt) for order 1, O(dt^2) for order 2.
+  /// Global error O(dt) for order 1, O(dt^2) for order 2. Throws
+  /// std::invalid_argument on steps < 1.
   void evolve(std::span<cplx> x, double t, int steps, int order) const;
-  /// StateVector overload of the explicit-order evolve().
-  void evolve(StateVector& x, double t, int steps, int order) const;
 
  private:
   /// Folds the diagonal prefix into the phase table when fusion is on and
@@ -157,7 +141,6 @@ class TrotterEvolver : public Evolver {
   void apply_phase_table(double dt, std::span<cplx> x) const;
 
   std::size_t n_ = 0;
-  int order_ = 2;
   bool fuse_ = true;
   std::vector<TermExp> exps_;
   // Leading diagonal terms folded into the phase table (0: no table).

@@ -114,14 +114,4 @@ std::vector<cplx> random_state(std::size_t dim, std::mt19937& rng) {
   return v;
 }
 
-double vec_diff_up_to_phase(std::span<const cplx> a, std::span<const cplx> b) {
-  // Optimal global phase aligns <a|b> to the positive real axis.
-  const cplx d = vec_dot(a, b);
-  const cplx phase = std::abs(d) > 1e-300 ? d / std::abs(d) : cplx(1.0);
-  double s = 0;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    s = std::max(s, std::abs(a[i] * phase - b[i]));
-  return s;
-}
-
 }  // namespace gecos

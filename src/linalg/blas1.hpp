@@ -2,7 +2,7 @@
 //
 // One parallel implementation of the norm/dot/axpy/scale/copy family, used
 // by every layer that iterates over amplitudes: StateVector, the Trotter
-// engine, the Krylov solvers in src/solver/, and the CG reference solver.
+// engine and the Krylov solvers in src/solver/.
 // Reductions keep one partial per parallel_for chunk in a fixed-size stack
 // array (chunk ids are bounded by kMaxParallelChunks) and combine them in
 // chunk order, so every kernel here is allocation-free and deterministic for
@@ -45,7 +45,5 @@ void vec_copy(std::span<cplx> dst, std::span<const cplx> src);
 void vec_fill(std::span<cplx> v, cplx s);
 /// Normalized Gaussian-random statevector of the given dimension.
 std::vector<cplx> random_state(std::size_t dim, std::mt19937& rng);
-/// Max |a_i - e^{i phi} b_i| minimized over a global phase phi.
-double vec_diff_up_to_phase(std::span<const cplx> a, std::span<const cplx> b);
 
 }  // namespace gecos

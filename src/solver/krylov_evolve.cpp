@@ -49,8 +49,6 @@ KrylovEvolver::KrylovEvolver(const LinearOperator& h, KrylovOptions opts)
   last_.residual_history.reserve(m * 64);
 }
 
-std::size_t KrylovEvolver::n_qubits() const { return op_.n_qubits(); }
-
 void KrylovEvolver::step(std::span<cplx> x, double dt) const {
   apply_expm(cplx(0.0, -dt), x);
 }
@@ -170,16 +168,6 @@ void KrylovEvolver::apply_expm(cplx z, std::span<cplx> x) const {
     done += h;
     ++last_.substeps;
   }
-}
-
-void KrylovEvolver::evolve(std::span<cplx> x, double t, int steps) const {
-  if (steps < 1)
-    throw std::invalid_argument("KrylovEvolver::evolve: steps must be >= 1");
-  // The step count is a hint only: one spectrally-exact Krylov solve covers
-  // the whole interval, splitting internally where the subspace cap
-  // requires it — running `steps` independent projections would cost
-  // steps * matvecs for no accuracy gain.
-  apply_expm(cplx(0.0, -t), x);
 }
 
 }  // namespace gecos

@@ -20,7 +20,6 @@
 #include <span>
 #include <vector>
 
-#include "evolve/evolver.hpp"
 #include "linalg/sym_eig.hpp"
 #include "ops/linear_op.hpp"
 #include "state/krylov_basis.hpp"
@@ -48,25 +47,17 @@ struct KrylovStepInfo {
 };
 
 /// Matrix-free exp(z H) propagator over a Krylov subspace.
-class KrylovEvolver : public Evolver {
+class KrylovEvolver {
  public:
   /// Captures the operator by reference (it must outlive the evolver) and
   /// preallocates basis and projection storage for max_subspace vectors.
   /// Throws std::invalid_argument on max_subspace < 2 or tol <= 0.
   explicit KrylovEvolver(const LinearOperator& h, KrylovOptions opts = {});
 
-  /// Qubit count of the underlying operator.
-  std::size_t n_qubits() const override;
-
   /// Real-time step x <- exp(-i dt H) x (adaptive subspace + splitting).
-  void step(std::span<cplx> x, double dt) const override;
-  /// Whole-interval evolution. The step count is a HINT (validated >= 1 for
-  /// interface parity, then ignored): one spectrally-exact solve covers the
-  /// interval, splitting internally where the subspace cap requires it.
-  void evolve(std::span<cplx> x, double t, int steps) const override;
-  /// StateVector / evolve entry points of the Evolver base.
-  using Evolver::evolve;
-  using Evolver::step;
+  /// One call covers any interval: the subspace cap, not dt, decides when
+  /// the step splits.
+  void step(std::span<cplx> x, double dt) const;
 
   /// General form x <- exp(z H) x: z = -i dt is the unitary step, a real
   /// z = -tau the imaginary-time filter (ThermalSampler). The error budget
@@ -101,7 +92,8 @@ class KrylovEvolver : public Evolver {
   std::size_t dim_ = 0;
 
   // Per-object scratch (step() is const but not concurrency-safe on one
-  // object; see Evolver docs). All sized at construction.
+  // object: concurrent callers each own an evolver). All sized at
+  // construction.
   mutable KrylovBasis basis_;
   mutable std::vector<double> alpha_, beta_;  // Lanczos recurrence
   mutable std::vector<cplx> coeffs_;          // exp(z T) e1

@@ -376,8 +376,6 @@ const LanczosResult& Lanczos::loop(std::size_t j0) {
   const std::size_t k = opts_.k;
   const bool checkpointing =
       opts_.checkpoint_interval > 0 && !opts_.checkpoint_path.empty();
-  const std::size_t report_every =
-      opts_.progress_interval == 0 ? 1 : opts_.progress_interval;
   solve_start_ns_ = telemetry::now_ns();
   first_metric_ = 0.0;
   std::size_t j = j0;      // index of the newest basis vector
@@ -415,7 +413,7 @@ const LanczosResult& Lanczos::loop(std::size_t j0) {
     if (result_.residual_history.size() <
         result_.residual_history.capacity())
       result_.residual_history.push_back(worst);
-    if (opts_.progress && (result_.iterations % report_every == 0)) {
+    if (opts_.progress) {
       telemetry::ProgressEvent ev;
       ev.phase = "lanczos";
       ev.iteration = result_.iterations;

@@ -71,11 +71,9 @@ struct LanczosOptions {
   /// Matvecs between checkpoint writes; 0 (the default) disables them.
   std::size_t checkpoint_interval = 0;
   /// Optional ProgressSink (phase "lanczos"): called on the solver thread
-  /// once per progress_interval iterations with the current worst residual,
-  /// matvec count and a decay-extrapolated ETA. Empty disables reporting.
+  /// once per iteration with the current worst residual, matvec count and a
+  /// decay-extrapolated ETA. Empty disables reporting.
   telemetry::ProgressFn progress;
-  /// Iterations between progress callbacks (0 behaves as 1).
-  std::size_t progress_interval = 1;
 };
 
 /// One thick-restart boundary of a solve, as recorded in

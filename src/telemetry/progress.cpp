@@ -1,10 +1,6 @@
 #include "telemetry/progress.hpp"
 
-#include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <memory>
-#include <string>
 
 namespace gecos::telemetry {
 
@@ -17,55 +13,6 @@ double eta_from_decay(double first_metric, double metric, double target,
   const double decay = std::log(first_metric / metric);
   if (!(decay > 0.0)) return -1.0;  // not converging (yet)
   return elapsed_s * std::log(metric / target) / decay;
-}
-
-ProgressFn stderr_progress(const char* tag, double min_interval_s) {
-  struct State {
-    std::chrono::steady_clock::time_point last{};
-    std::string last_phase;
-    bool any = false;
-  };
-  auto state = std::make_shared<State>();
-  const std::string prefix(tag == nullptr ? "" : tag);
-  return [state, prefix, min_interval_s](const ProgressEvent& ev) {
-    const auto now = std::chrono::steady_clock::now();
-    const bool phase_change = !state->any || state->last_phase != ev.phase;
-    if (!phase_change &&
-        std::chrono::duration<double>(now - state->last).count() <
-            min_interval_s)
-      return;
-    state->any = true;
-    state->last = now;
-    state->last_phase = ev.phase;
-    std::string line = "gecos";
-    if (!prefix.empty()) line += "[" + prefix + "]";
-    char buf[160];
-    std::snprintf(buf, sizeof buf, " %-12s iter %zu", ev.phase, ev.iteration);
-    line += buf;
-    if (ev.total != 0) {
-      std::snprintf(buf, sizeof buf, "/%zu", ev.total);
-      line += buf;
-    }
-    if (ev.matvecs != 0) {
-      std::snprintf(buf, sizeof buf, "  matvecs %zu", ev.matvecs);
-      line += buf;
-    }
-    if (ev.metric != 0.0 || ev.target != 0.0) {
-      std::snprintf(buf, sizeof buf, "  metric %.3e", ev.metric);
-      line += buf;
-      if (ev.target != 0.0) {
-        std::snprintf(buf, sizeof buf, " -> %.1e", ev.target);
-        line += buf;
-      }
-    }
-    std::snprintf(buf, sizeof buf, "  elapsed %.1fs", ev.elapsed_s);
-    line += buf;
-    if (ev.eta_s >= 0.0) {
-      std::snprintf(buf, sizeof buf, "  eta ~%.0fs", ev.eta_s);
-      line += buf;
-    }
-    std::fprintf(stderr, "%s\n", line.c_str());
-  };
 }
 
 }  // namespace gecos::telemetry

@@ -10,10 +10,9 @@
 // regions, and are never invoked when unset, so the disabled cost is one
 // branch on an empty std::function.
 //
-// stderr_progress() builds the standard throttled human-readable reporter
-// (tools/resume_driver --progress uses it);
-// anything else — a daemon's job table, a test capturing trajectories — is
-// just another std::function. See DESIGN.md "Telemetry & tracing".
+// A sink is any std::function: gecosd's job table (status, ETA and the
+// cancel flag) and tests capturing trajectories are the callers. See
+// DESIGN.md "Telemetry & tracing".
 #pragma once
 
 #include <cstddef>
@@ -45,10 +44,5 @@ using ProgressFn = std::function<void(const ProgressEvent&)>;
 /// values, no decay yet) and 0 once metric <= target.
 double eta_from_decay(double first_metric, double metric, double target,
                       double elapsed_s);
-
-/// The standard stderr reporter: single-line reports, throttled to one
-/// print per min_interval_s (the throttle never drops the first event of a
-/// phase). tag prefixes every line (bench uses the entry name).
-ProgressFn stderr_progress(const char* tag = "", double min_interval_s = 0.25);
 
 }  // namespace gecos::telemetry

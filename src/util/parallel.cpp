@@ -1,7 +1,5 @@
 #include "util/parallel.hpp"
 
-#include <cctype>
-#include <cerrno>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
@@ -12,6 +10,7 @@
 #include <vector>
 
 #include "telemetry/telemetry.hpp"
+#include "util/parse.hpp"
 
 namespace gecos {
 
@@ -159,17 +158,12 @@ class Pool {
 }  // namespace
 
 int parse_threads_env(const char* text) {
-  const std::string s(text == nullptr ? "" : text);
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(s.c_str(), &end, 10);
-  // strtol skips leading whitespace and accepts a sign; strict means digits
-  // only, so " 4" and "+4" are rejected like any other junk.
-  if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0])) ||
-      end != s.c_str() + s.size() || errno == ERANGE || v < 1 || v > 1024)
-    throw std::invalid_argument("GECOS_THREADS='" + s +
+  const std::optional<std::uint64_t> v = parse_uint(text, 1, 1024);
+  if (!v)
+    throw std::invalid_argument("GECOS_THREADS='" +
+                                std::string(text == nullptr ? "" : text) +
                                 "': expected an integer in [1, 1024]");
-  return static_cast<int>(v);
+  return static_cast<int>(*v);
 }
 
 int num_threads() { return threads_setting(); }

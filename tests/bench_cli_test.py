@@ -5,9 +5,11 @@ Pins the argument-handling policy the CI pipeline and the serve-layer job
 workspaces depend on:
 
   * unknown flags and missing flag arguments exit 2 with a usage message,
-    including --simd, --trace and --progress (GECOS_SIMD, GECOS_TRACE and
-    resume_driver --progress do those jobs),
-  * --threads takes an integer in [1, 1024]; anything else exits 2,
+    including the removed --simd, --trace and --progress (GECOS_SIMD and
+    GECOS_TRACE do the first two jobs; a solver's progress callback the
+    third),
+  * --threads takes an integer in [1, 1024] and --repeat a positive
+    integer, digits only; anything else exits 2,
   * an unwritable --out path fails FAST (the writability probe runs before
     any timed entry, so a typo'd path cannot waste a full bench run),
   * a valid --only + --out run exits 0 and writes a parseable JSON report
@@ -86,6 +88,14 @@ def main():
               f"rc={r.returncode}")
         check(f"--threads {bad} error names the flag",
               "--threads" in r.stderr and bad in r.stderr, r.stderr[:200])
+
+    # --repeat goes through the same strict parser: "5x" is not 5.
+    for bad in ("5x", "0"):
+        r = run([bench, "--repeat", bad, "--list"], timeout=60)
+        check(f"--repeat {bad} exits 2", r.returncode == 2,
+              f"rc={r.returncode}")
+        check(f"--repeat {bad} error names the flag",
+              "--repeat" in r.stderr and bad in r.stderr, r.stderr[:200])
 
     # Unwritable --out: the probe rejects it before any timed work, so this
     # must come back in seconds, not bench-run minutes.

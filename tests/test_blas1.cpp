@@ -83,11 +83,6 @@ int main() {
     c = a;
     c[n / 2] += cplx(0.0, 0.125);
     CHECK_NEAR(vec_max_abs_diff(c, a), 0.125, 1e-15);
-
-    // vec_diff_up_to_phase: a global phase is invisible, anything else not.
-    c = a;
-    vec_scale(c, std::polar(1.0, 0.8));
-    CHECK_NEAR(vec_diff_up_to_phase(c, a), 0.0, 1e-12);
   }
 
   // random_state is normalized and seeded-deterministic.

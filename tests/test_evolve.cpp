@@ -1,17 +1,15 @@
 // Trotter evolution engine: exact single-term exponentials against dense
 // expm, global-error scaling of the order-1/2 product formulas on a 6-qubit
-// Hubbard chain, conservation laws under Strang stepping, and the Evolver
-// interface used polymorphically (TrotterEvolver and KrylovEvolver behind
-// one Evolver*, the integrator-swap contract of the quench workloads).
+// Hubbard chain, conservation laws under Strang stepping, and the two quench
+// integrators (TrotterEvolver and KrylovEvolver) against the dense
+// propagator and each other.
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <random>
 #include <stdexcept>
 #include <vector>
 
 #include "linalg/blas1.hpp"
-#include "evolve/evolver.hpp"
 #include "evolve/trotter.hpp"
 #include "fermion/hubbard.hpp"
 #include "linalg/expm.hpp"
@@ -175,7 +173,7 @@ int main() {
     const cplx e0 = x.expectation(h);
     const cplx n0 = x.expectation(nop);
     CHECK_NEAR(n0 - cplx(3.0), 0.0, 1e-12);  // CDW on 6 sites: 3 particles
-    for (int s = 0; s < 200; ++s) ev.step(x, 0.05, 2);
+    for (int s = 0; s < 200; ++s) ev.step(x.amps(), 0.05, 2);
     CHECK_NEAR(x.norm(), 1.0, 1e-12);
     CHECK_NEAR((x.expectation(h) - e0).real(), 0.0, 1e-2);  // bounded
     CHECK_NEAR(std::abs(x.expectation(h).imag()), 0.0, 1e-10);
@@ -186,7 +184,7 @@ int main() {
     const cplx e0 = x.expectation(h);
     double drift = 0.0;
     for (int s = 0; s < 200; ++s) {
-      ev.step(x, 2e-5, 2);
+      ev.step(x.amps(), 2e-5, 2);
       drift = std::max(drift, std::abs((x.expectation(h) - e0).real()));
     }
     std::printf("strang dt=2e-5: max <H> drift over 200 steps = %.3e\n",
@@ -194,46 +192,28 @@ int main() {
     CHECK(drift < 1e-10);
   }
 
-  // Trotter steps commute with the dense propagator limit under refinement:
-  // a StateVector evolve equals the span evolve (same engine, same buffers).
+  // Trotter against Krylov: both quench integrators agree with the dense
+  // propagator (each at its own accuracy) and with each other.
   {
-    StateVector a = StateVector::random(6, 123);
-    std::vector<cplx> b(a.amps().begin(), a.amps().end());
-    ev.evolve(a, 0.3, 7, 2);
-    ev.evolve(b, 0.3, 7, 2);
-    CHECK_NEAR(vec_max_abs_diff(a.amps(), b), 0.0, 0.0);
-  }
-
-  // The integrator-swap contract: both engines behind one Evolver*, driven
-  // through only the base interface, agree with the dense propagator (each
-  // at its own accuracy) and with each other.
-  {
-    std::vector<std::unique_ptr<Evolver>> evolvers;
-    evolvers.push_back(std::make_unique<TrotterEvolver>(h));
-    evolvers.push_back(std::make_unique<KrylovEvolver>(h));
-    const double tols[] = {1e-5, 1e-9};  // Trotter at dt=1e-3, Krylov budget
+    const KrylovEvolver kev(h);
     const std::vector<cplx> expect = dense_evolve(hd, 0.2, x0);
-    std::vector<std::vector<cplx>> results;
-    for (std::size_t i = 0; i < evolvers.size(); ++i) {
-      const Evolver& e = *evolvers[i];
-      CHECK_EQ(e.n_qubits(), std::size_t{6});
-      StateVector x(6);
-      std::copy(x0.begin(), x0.end(), x.amps().begin());
-      e.evolve(x, 0.2, 200);
-      CHECK(vec_max_abs_diff(x.amps(), expect) < tols[i]);
-      results.emplace_back(x.amps().begin(), x.amps().end());
+    std::vector<cplx> xt = x0;
+    ev.evolve(xt, 0.2, 200, 2);
+    CHECK(vec_max_abs_diff(xt, expect) < 1e-5);  // Trotter at dt = 1e-3
+    std::vector<cplx> xk = x0;
+    kev.step(xk, 0.2);
+    CHECK(vec_max_abs_diff(xk, expect) < 1e-9);  // Krylov budget
+    CHECK(vec_max_abs_diff(xt, xk) < 2e-5);
 
-      // The base-class steps<1 validation holds for every implementation.
-      bool threw = false;
-      try {
-        std::vector<cplx> y = x0;
-        e.evolve(y, 0.1, 0);
-      } catch (const std::invalid_argument&) {
-        threw = true;
-      }
-      CHECK(threw);
+    // evolve() rejects steps < 1.
+    bool threw = false;
+    try {
+      std::vector<cplx> y = x0;
+      ev.evolve(y, 0.1, 0, 2);
+    } catch (const std::invalid_argument&) {
+      threw = true;
     }
-    CHECK(vec_max_abs_diff(results[0], results[1]) < 2e-5);
+    CHECK(threw);
   }
 
   // Fusion: the fused evolver folds the diagonal prefix into one phase
@@ -241,8 +221,8 @@ int main() {
   // (one-sweep-per-term, same canonical order) trajectory to 1e-12 over a
   // real quench, and its traffic model shrinks accordingly.
   {
-    const TrotterEvolver fused(h, 1e-12, 2, true);
-    const TrotterEvolver plain(h, 1e-12, 2, false);
+    const TrotterEvolver fused(h, true);
+    const TrotterEvolver plain(h, false);
     CHECK(fused.fused());
     CHECK(!plain.fused());
     CHECK_EQ(fused.num_terms(), plain.num_terms());
@@ -252,14 +232,14 @@ int main() {
     CHECK(fused.step_traffic_bytes(1) < fused.step_traffic_bytes(2));
     StateVector a = StateVector::product(6, hubbard_cdw_occupation(p));
     StateVector b = a;
-    fused.evolve(a, 1.0, 50, 2);
-    plain.evolve(b, 1.0, 50, 2);
+    fused.evolve(a.amps(), 1.0, 50, 2);
+    plain.evolve(b.amps(), 1.0, 50, 2);
     CHECK_NEAR(a.max_abs_diff(b), 0.0, 1e-12);
     // Order 1 fuses and agrees the same way.
     StateVector c = StateVector::product(6, hubbard_cdw_occupation(p));
     StateVector d = c;
-    fused.evolve(c, 0.5, 50, 1);
-    plain.evolve(d, 0.5, 50, 1);
+    fused.evolve(c.amps(), 0.5, 50, 1);
+    plain.evolve(d.amps(), 0.5, 50, 1);
     CHECK_NEAR(c.max_abs_diff(d), 0.0, 1e-12);
   }
 
@@ -268,17 +248,17 @@ int main() {
   // contract lifted to whole evolutions), fused and unfused alike.
   {
     const SimdTier initial = simd_tier();
-    const TrotterEvolver fused(h, 1e-12, 2, true);
-    const TrotterEvolver plain(h, 1e-12, 2, false);
+    const TrotterEvolver fused(h, true);
+    const TrotterEvolver plain(h, false);
     for (const TrotterEvolver* ev2 : {&fused, &plain}) {
       set_simd_tier(SimdTier::scalar);
       StateVector ref = StateVector::product(6, hubbard_cdw_occupation(p));
-      for (int s = 0; s < 5; ++s) ev2->step(ref, 0.03, 2);
+      for (int s = 0; s < 5; ++s) ev2->step(ref.amps(), 0.03, 2);
       for (SimdTier t : {SimdTier::avx2, SimdTier::avx512}) {
         if (!simd_tier_available(t)) continue;
         set_simd_tier(t);
         StateVector x = StateVector::product(6, hubbard_cdw_occupation(p));
-        for (int s = 0; s < 5; ++s) ev2->step(x, 0.03, 2);
+        for (int s = 0; s < 5; ++s) ev2->step(x.amps(), 0.03, 2);
         CHECK_NEAR(ref.max_abs_diff(x), 0.0, 0.0);
       }
     }
@@ -305,7 +285,7 @@ int main() {
     for (const int threads : {1, 4}) {
       set_num_threads(threads);
       StateVector x = x0;
-      ev20.step(x, 0.02, 2);
+      ev20.step(x.amps(), 0.02, 2);
       out.emplace_back(x.amps().begin(), x.amps().end());
     }
     set_num_threads(saved_threads);

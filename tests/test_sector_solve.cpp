@@ -175,7 +175,7 @@ int main() {
     const double dt = 0.05;
     for (int s = 0; s < 4; ++s) {
       sector_ev.step(xs.amps(), dt);
-      full_ev.step(xf, dt);
+      full_ev.step(xf.amps(), dt);
     }
     // The full evolution never leaves the sector ([H, N_s] = 0), so the
     // embedded sector evolution must match everywhere.

@@ -251,7 +251,7 @@ int main() {
     StateVector tr_ref(n);
     std::copy(x0.begin(), x0.end(), tr_ref.amps().begin());
     const TrotterEvolver ev(h);
-    for (int s = 0; s < 3; ++s) ev.step(tr_ref, 0.05, 2);
+    for (int s = 0; s < 3; ++s) ev.step(tr_ref.amps(), 0.05, 2);
 
     for (SimdTier t : {SimdTier::avx2, SimdTier::avx512}) {
       if (!simd_tier_available(t)) continue;
@@ -263,7 +263,7 @@ int main() {
       CHECK(same_bits(y_ref, y));
       StateVector tr(n);
       std::copy(x0.begin(), x0.end(), tr.amps().begin());
-      for (int s = 0; s < 3; ++s) ev.step(tr, 0.05, 2);
+      for (int s = 0; s < 3; ++s) ev.step(tr.amps(), 0.05, 2);
       CHECK(same_bits(std::vector<cplx>(tr_ref.amps().begin(),
                                         tr_ref.amps().end()),
                       std::vector<cplx>(tr.amps().begin(),
@@ -289,10 +289,10 @@ int main() {
     CHECK(ev.num_groups() < ev.num_terms());
     StateVector x = StateVector::product(h.num_qubits(),
                                          hubbard_cdw_occupation(p));
-    ev.step(x, 0.02, 2);  // warmup: phase fill, thread pool
+    ev.step(x.amps(), 0.02, 2);  // warmup: phase fill, thread pool
     const long before = gecos::test::allocations();
-    for (int s = 0; s < 5; ++s) ev.step(x, 0.02, 2);
-    ev.step(x, 0.01, 2);  // dt change: in-place phase refill
+    for (int s = 0; s < 5; ++s) ev.step(x.amps(), 0.02, 2);
+    ev.step(x.amps(), 0.01, 2);  // dt change: in-place phase refill
     const long delta = gecos::test::allocations() - before;
 #if GECOS_ALLOC_PROBE_ACTIVE
     std::printf("alloc probe: %ld allocations over 6 fused steps\n", delta);

@@ -37,6 +37,7 @@
 #include "telemetry/trace.hpp"
 #include "test_util.hpp"
 #include "util/parallel.hpp"
+#include "util/parse.hpp"
 
 using namespace gecos;
 namespace tel = gecos::telemetry;
@@ -182,6 +183,11 @@ int main(int argc, char** argv) {
       }
       CHECK(threw);
     }
+    CHECK(parse_uint("18446744073709551615", 0, UINT64_MAX) == UINT64_MAX);
+    CHECK(!parse_uint("18446744073709551616", 0, UINT64_MAX));  // ERANGE
+    CHECK(parse_double("-1.5e-3") == -1.5e-3);
+    for (const char* bad : {"", "nan", "inf", "1e999", "1.5x", " 1"})
+      CHECK(!parse_double(bad));
     CHECK(parse_simd_tier("scalar") == SimdTier::scalar);
     CHECK(parse_simd_tier("avx2") == SimdTier::avx2);
     CHECK(parse_simd_tier("avx512") == SimdTier::avx512);

@@ -10,13 +10,17 @@
 //   2. fork+exec gecosd, submit the same spec over the socket
 //   3. poll for the solver checkpoint file, then SIGKILL the daemon
 //   4. restart gecosd on the same state dir, poll the SAME job id to done
-//   5. assert the resumed eigenvalues/matvecs/iterations are bitwise equal
-//      to the reference, then shut the daemon down cleanly
+//   5. assert the job resumed from the checkpoint, its E0 is the recorded
+//      n = 20 ground-state energy to 1e-10, and its eigenvalues, residuals
+//      and matvec/iteration counts are bitwise equal to the reference; then
+//      shut the daemon down cleanly
 //
-// Like tools/resume_driver.cpp, a child that wins the race (solve finishes
-// before the first checkpoint lands) degrades the run to a
-// journal-resubmission check — still asserted bitwise — rather than a
-// failure, since the kill timing is scheduling-dependent.
+// The job is the n = 20 ground state: the 5x2 spinful Hubbard ladder in its
+// (4,4) sector (dim C(10,4)^2 = 44,100), 78 matvecs with a checkpoint every
+// 25, so the first checkpoint lands about a third of the way into the
+// solve. A kill that lands before the first checkpoint, or a restarted job
+// that does not resume from it, fails the run: a pass always went through
+// the resume path.
 //
 // Flags: --gecosd PATH  daemon binary (default ./gecosd)
 //        --dir DIR      scratch directory (default serve_smoke_state)
@@ -24,11 +28,11 @@
 //                       relative paths dodge the AF_UNIX length cap)
 //        --threads K    worker threads, fixed across all runs (default 2)
 // Exit 0 on PASS, 1 on FAIL, 2 on usage/setup errors.
-#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -49,13 +53,16 @@ using namespace gecos::serve;
 
 namespace {
 
-// The bench quench lattice (--quick size): 4x2 spinful Hubbard, n = 16,
-// half-filling sector dim C(8,4)^2 = 4900 — seconds to solve, hundreds of
-// matvecs, so checkpoints land mid-flight.
+// Recorded ground-state energy of the n = 20 quench lattice (bench_main's
+// kFullE0N20, perfbench ground_full's gate); the (4,4) sector holds it.
+constexpr double kE0N20 = -13.8785798502;
+
+// The n = 20 quench lattice of bench_main and perfbench: 5x2 spinful
+// Hubbard, periodic in x, U = 4, mu = 0.5, ground state in the (4,4) sector.
 JobSpec smoke_spec() {
   JobSpec spec;
   spec.kind = JobKind::kGroundState;
-  spec.lattice.lx = 4;
+  spec.lattice.lx = 5;
   spec.lattice.ly = 2;
   spec.lattice.t = 1.0;
   spec.lattice.u = 4.0;
@@ -197,22 +204,22 @@ int main(int argc, char** argv) {
       const auto client = connect_daemon(socket, 20.0);
       job_id = client->submit(spec);
     }
-    // 3. Wait for the first solver checkpoint, then SIGKILL. If the solve
-    // beats the watcher, the kill still exercises journal re-submission.
+    // 3. Wait for the first solver checkpoint, then SIGKILL.
     const std::string ck = ck_path(daemon_dir, spec);
     bool saw_checkpoint = false;
-    for (int poll = 0; poll < 3000; ++poll) {  // <= 60 s
+    for (int poll = 0; poll < 12000; ++poll) {  // <= 60 s
       if (checkpoint_exists(ck)) {
         saw_checkpoint = true;
         break;
       }
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
     ::kill(pid1, SIGKILL);
     int status = 0;
     ::waitpid(pid1, &status, 0);
-    std::fprintf(stderr, "serve_smoke: daemon killed (%s checkpoint)\n",
-                 saw_checkpoint ? "after" : "BEFORE first");
+    if (!saw_checkpoint)
+      return fail("daemon killed before its first checkpoint");
+    std::fprintf(stderr, "serve_smoke: daemon killed after a checkpoint\n");
 
     // 4. Daemon run #2 on the same state dir: the journaled job re-enqueues
     // under its original id and resumes from the checkpoint.
@@ -247,7 +254,15 @@ int main(int argc, char** argv) {
     if (!clean_shutdown || !WIFEXITED(status) || WEXITSTATUS(status) != 0)
       return fail("daemon did not exit cleanly after shutdown");
 
-    // 5. The acceptance assertions: bit-identical solve across the kill.
+    // 5. The acceptance assertions: the job resumed, hit the recorded E0,
+    // and solved bit-identically across the kill.
+    if (!resumed.resumed)
+      return fail("the restarted job did not resume from the checkpoint");
+    const double e0_diff = std::abs(resumed.eigenvalues.at(0) - kE0N20);
+    std::fprintf(stderr, "serve_smoke: |E0 - recorded| = %.3e (tol 1e-10)\n",
+                 e0_diff);
+    if (!(e0_diff <= 1e-10))
+      return fail("resumed E0 differs from the recorded n = 20 value");
     if (!bitwise_equal(resumed.eigenvalues, ref.eigenvalues))
       return fail("eigenvalues differ from the uninterrupted reference");
     if (!bitwise_equal(resumed.residuals, ref.residuals))
@@ -257,12 +272,8 @@ int main(int argc, char** argv) {
     if (resumed.iterations != ref.iterations)
       return fail("iteration count differs from the reference");
     if (!resumed.converged) return fail("resumed solve did not converge");
-    if (saw_checkpoint && !resumed.resumed)
-      return fail("checkpoint existed but the job did not resume from it");
 
-    std::fprintf(stderr, "serve_smoke: PASS%s\n",
-                 saw_checkpoint ? "" : " (child won the race; "
-                                       "journal-resubmission path)");
+    std::fprintf(stderr, "serve_smoke: PASS\n");
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "serve_smoke: FAIL: %s\n", e.what());
