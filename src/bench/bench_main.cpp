@@ -4,11 +4,12 @@
 // pin every solver; this binary keeps what neither covers. The fermion_*
 // entries record the paper's central claim head to head: SCB term count and
 // build time of second-quantized Hamiltonians versus their expanded Pauli
-// representation. The other microbenchmarks time the packed Pauli engine,
-// the matrix-free applies, the dense kernels and the streaming-bandwidth
-// roofline. The gates compare the binary against itself in one process:
-// SCB vs Pauli apply, fused vs unfused Trotter, sector vs full space,
-// telemetry on vs off and batched vs sequential serving.
+// representation. The other microbenchmarks time the Pauli expansion and a
+// Pauli-word product (both ScbSums over {I, X, Y, Z}), the matrix-free
+// applies, the dense kernels and the streaming-bandwidth roofline. The
+// gates compare the binary against itself in one process: SCB vs Pauli
+// apply, fused vs unfused Trotter, sector vs full space, telemetry on vs
+// off and batched vs sequential serving.
 //
 // Every entry is one function in kEntries, run in table order, and reports
 // one JSON object through Run::report. Each entry seeds its own RNG, so an
@@ -47,7 +48,6 @@
 #include "linalg/expm.hpp"
 #include "linalg/matrix.hpp"
 #include "ops/conversion.hpp"
-#include "ops/pauli.hpp"
 #include "ops/scb_sum.hpp"
 #include "ops/term.hpp"
 #include "serve/batch.hpp"
@@ -170,14 +170,15 @@ double wall_seconds(const std::function<void()>& fn) {
       .count();
 }
 
-PauliString random_string(std::size_t n, std::mt19937& rng) {
+/// A uniformly random word over {I, X, Y, Z}.
+std::vector<Scb> random_pauli_word(std::size_t n, std::mt19937& rng) {
   static const std::array<Scb, 4> t = {Scb::I, Scb::X, Scb::Y, Scb::Z};
   std::vector<Scb> ops(n);
   for (auto& o : ops) o = t[rng() % 4];
-  return PauliString(std::move(ops));
+  return ops;
 }
 
-/// A term whose bare product expands to exactly 2^k Pauli strings.
+/// A term whose bare product expands to exactly 2^k Pauli words.
 ScbTerm make_expanding_term(std::size_t n, std::size_t k, std::mt19937& rng) {
   static const std::array<Scb, 4> branching = {Scb::N, Scb::M, Scb::Sm,
                                                Scb::Sp};
@@ -237,23 +238,23 @@ int term_expansion(Run& r) {
   return 0;
 }
 
-// -- PauliSum * PauliSum -----------------------------------------------------
+// -- Pauli-word ScbSum * ScbSum ----------------------------------------------
 int pauli_sum_product(Run& r) {
   std::mt19937 rng(kSeed);
   const std::size_t n = 32;
   const std::size_t terms = r.quick ? 48 : 128;  // terms^2 string products
   std::uniform_real_distribution<double> cd(-1.0, 1.0);
   const auto random_sum = [&] {
-    PauliSum sum(n);
+    ScbSum sum(n);
     while (sum.size() < terms) {
-      const PauliString s = random_string(n, rng);
+      const std::vector<Scb> w = random_pauli_word(n, rng);
       const cplx c(cd(rng), cd(rng));
-      sum.add(s, c);
+      sum.add(w, c);
     }
     return sum;
   };
-  const PauliSum a = random_sum();
-  const PauliSum b = random_sum();
+  const ScbSum a = random_sum();
+  const ScbSum b = random_sum();
   const double pairs = static_cast<double>(terms) * terms;
   const Timing t = r.time([&] { sink += (a * b).size(); });
   r.report({{"num_qubits", static_cast<double>(n)},
@@ -340,29 +341,6 @@ int scb_apply(Run& r) {
   return 0;
 }
 
-int pauli_sum_apply(Run& r) {
-  std::mt19937 rng(kSeed + 1);  // distinct stream from scb_apply
-  const std::size_t n = r.quick ? 12 : 16;
-  const std::size_t dim = std::size_t{1} << n;
-  const std::vector<cplx> x = random_state(dim, rng);
-  std::vector<cplx> y(dim);
-  PauliSum ps(n);
-  std::uniform_real_distribution<double> cd(-1.0, 1.0);
-  while (ps.size() < 64) ps.add(random_string(n, rng), cplx(cd(rng)));
-  const Timing t = r.time([&] {
-    std::fill(y.begin(), y.end(), cplx(0.0));
-    ps.apply(x, y);
-    sink += static_cast<std::size_t>(std::abs(y[0].real()) < 2);
-  });
-  r.report({{"num_qubits", static_cast<double>(n)},
-            {"terms", 64.0},
-            {"seconds_per_op", t.median},
-            {"min_seconds_per_op", t.min},
-            {"term_amplitudes_per_sec", static_cast<double>(dim) * 64.0 /
-                                            t.median}});
-  return 0;
-}
-
 // -- dense kernels -----------------------------------------------------------
 int dense_matmul(Run& r) {
   std::mt19937 rng(kSeed);
@@ -399,7 +377,7 @@ int dense_expm(Run& r) {
 // -- fermionic Jordan-Wigner workloads (paper Sec. II-B1 vs III) -------------
 // Each entry builds the same second-quantized Hamiltonian both ways: the
 // direct SCB composition (one term per fermionic word, via jw_sum) and the
-// expanded Pauli representation (2^k strings per term, via to_pauli), and
+// expanded Pauli representation (2^k words per term, via to_pauli), and
 // reports term counts plus build time per representation.
 int bench_fermion(Run& r, const FermionSum& h, std::size_t modes) {
   const Timing scb_t = r.time([&] { sink += jw_sum(h, modes).size(); });
@@ -470,7 +448,7 @@ int fermion_apply_xcheck(Run& r) {
   std::size_t modes = 0;
   const FermionSum mol = molecular_workload(r.quick, modes);
   const ScbSum scb = jw_sum(mol, modes);
-  const PauliSum pauli = scb.to_pauli();
+  const ScbSum pauli = scb.to_pauli();
   const std::size_t dim = std::size_t{1} << modes;
   const std::vector<cplx> x = random_state(dim, rng);
   std::vector<cplx> ys(dim, cplx(0.0)), yp(dim, cplx(0.0));
@@ -929,7 +907,6 @@ constexpr Entry kEntries[] = {
     {"pauli_sum_product", pauli_sum_product},
     {"stream_triad", stream_triad},
     {"scb_apply", scb_apply},
-    {"pauli_sum_apply", pauli_sum_apply},
     {"dense_matmul", dense_matmul},
     {"dense_expm", dense_expm},
     {"fermion_hubbard_1d", fermion_hubbard_1d},

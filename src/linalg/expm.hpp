@@ -25,7 +25,9 @@ Matrix expm_hermitian(const Matrix& h, double t);
 /// exp(A) for a general square matrix (scaling and squaring + Taylor).
 Matrix expm(const Matrix& a);
 
-/// Principal square root of a 2x2 unitary (used by Barenco decompositions).
+/// A square root V of a 2x2 unitary (V*V = u), (u + sqrt(det u) I) /
+/// sqrt(tr u + 2 sqrt(det u)); throws std::runtime_error when neither
+/// branch of sqrt(det u) gives a nonzero denominator.
 Matrix sqrt_unitary_2x2(const Matrix& u);
 
 }  // namespace gecos

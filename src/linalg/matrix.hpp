@@ -1,10 +1,11 @@
 // Dense complex matrices and vectors.
 //
 // Small, dependency-free linear algebra used as the *ground truth* layer of
-// GECOS: every circuit the library emits is verified against dense matrix
-// exponentials and matrix-vector products built here. Matrices are row-major
-// with value-semantics (Rule of Zero); sizes stay small (<= 2^12) because the
-// verification layer only ever touches few-qubit unitaries.
+// GECOS: the matrix-free operators, evolvers and solvers are checked against
+// dense matrices, matrix-vector products and matrix exponentials built here.
+// Matrices are row-major with value-semantics (Rule of Zero); sizes stay
+// small (<= 2^12) because dense references are only built for few-qubit
+// systems.
 #pragma once
 
 #include <complex>

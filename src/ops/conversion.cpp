@@ -1,115 +1,70 @@
 #include "ops/conversion.hpp"
 
 #include <array>
-#include <bit>
-#include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <stdexcept>
-
-#include "ops/packed.hpp"
+#include <utility>
 
 namespace gecos {
 
 namespace {
 
-// Iterative mask expansion of one bare product into `out` (see DESIGN.md,
-// "Mask expansion"). Every SCB factor is either a fixed Pauli (I/X/Y/Z: one
-// packed (x,z) bit pair) or a two-branch factor:
+// The two Pauli summands of a branching factor:
 //
 //   n  = (I - Z)/2      m  = (I + Z)/2
 //   s  = (X + iY)/2     s+ = (X - iY)/2
-//
-// Both branches of every factor share the same x bit and differ only in the
-// z bit, and the two branch coefficients differ by a unit {+-1, +-i}. So the
-// 2^k strings of the expansion are enumerated with a Gray-code counter:
-// per step one z bit toggles and the running coefficient multiplies by an
-// exact unit ratio -- no recursion, no per-string std::vector<Scb>, no
-// re-accumulated products, and writes go straight into the packed hash table.
-void expand_bare_packed(const ScbTerm& term, PauliSum& out) {
-  const std::size_t n = term.num_qubits();
-  if (out.num_qubits() != n)
-    throw std::invalid_argument("terms_to_pauli: mixed qubit counts");
-  const std::size_t words = packed_words(n);
-  std::vector<std::uint64_t> x(words, 0), z(words, 0);
-
-  struct Branch {
-    std::size_t word;      // word index of the toggling z bit
-    std::uint64_t bit;     // single-bit mask within that word
-    cplx up_ratio;         // coeff ratio option0 -> option1
-    cplx down_ratio;       // coeff ratio option1 -> option0
-  };
-  std::vector<Branch> branches;
-  cplx coeff = term.coeff();
-
-  const cplx i(0.0, 1.0);
-  for (std::size_t q = 0; q < n; ++q) {
-    const std::size_t w = q / 64;
-    const std::uint64_t bit = std::uint64_t{1} << (q % 64);
-    switch (term.op(q)) {
-      case Scb::I: break;
-      case Scb::X: x[w] |= bit; break;
-      case Scb::Y: x[w] |= bit; z[w] |= bit; break;
-      case Scb::Z: z[w] |= bit; break;
-      // Branch option 0 is the z=0 member; its coefficient folds into the
-      // base coefficient. Option 1 sets the z bit and scales by the ratio.
-      case Scb::N:  // 0.5*I, -0.5*Z
-        coeff *= 0.5;
-        branches.push_back({w, bit, -1.0, -1.0});
-        break;
-      case Scb::M:  // 0.5*I, 0.5*Z
-        coeff *= 0.5;
-        branches.push_back({w, bit, 1.0, 1.0});
-        break;
-      case Scb::Sm:  // 0.5*X, 0.5i*Y
-        coeff *= 0.5;
-        x[w] |= bit;
-        branches.push_back({w, bit, i, -i});
-        break;
-      case Scb::Sp:  // 0.5*X, -0.5i*Y
-        coeff *= 0.5;
-        x[w] |= bit;
-        branches.push_back({w, bit, -i, i});
-        break;
-    }
+std::array<std::pair<Scb, cplx>, 2> pauli_summands(Scb op) {
+  const cplx half(0.5), ihalf(0.0, 0.5);
+  switch (op) {
+    case Scb::N: return {{{Scb::I, half}, {Scb::Z, -half}}};
+    case Scb::M: return {{{Scb::I, half}, {Scb::Z, half}}};
+    case Scb::Sm: return {{{Scb::X, half}, {Scb::Y, ihalf}}};
+    default: return {{{Scb::X, half}, {Scb::Y, -ihalf}}};  // Scb::Sp
   }
+}
 
-  const std::size_t k = branches.size();
+// Adds the 2^k Pauli words of coeff * word to out, k = the number of n, m,
+// s and s+ factors: bit j of the branch counter g picks the summand of
+// branching factor j. Every summand coefficient is 1/2 times a unit
+// {+-1, +-i}, so each word's coefficient is exact.
+void add_expansion(const std::vector<Scb>& word, cplx coeff, ScbSum& out) {
+  std::vector<std::size_t> branching;
+  for (std::size_t q = 0; q < word.size(); ++q)
+    if (scb_is_projector(word[q]) || scb_is_transition(word[q]))
+      branching.push_back(q);
+  const std::size_t k = branching.size();
   // Not an assert: 1 << k with k >= 64 is UB in Release builds, and a 2^63
-  // string expansion could never fit in memory anyway.
+  // word expansion could never fit in memory anyway.
   if (k >= 63)
     throw std::invalid_argument(
         "term_to_pauli: too many projector/transition factors to expand");
-  out.reserve(out.size() + (std::size_t{1} << k));
-  out.add_raw(x.data(), z.data(), coeff);
-  std::uint64_t gray = 0;
-  for (std::uint64_t code = 1; code < (std::uint64_t{1} << k); ++code) {
-    const int j = std::countr_zero(code);
-    const std::uint64_t jbit = std::uint64_t{1} << j;
-    gray ^= jbit;
-    const Branch& br = branches[static_cast<std::size_t>(j)];
-    coeff *= (gray & jbit) ? br.up_ratio : br.down_ratio;
-    z[br.word] ^= br.bit;
-    out.add_raw(x.data(), z.data(), coeff);
+  std::vector<Scb> pauli = word;
+  for (std::uint64_t g = 0; g < (std::uint64_t{1} << k); ++g) {
+    cplx c = coeff;
+    for (std::size_t j = 0; j < k; ++j) {
+      const std::size_t q = branching[j];
+      const auto [op, factor] = pauli_summands(word[q])[(g >> j) & 1];
+      pauli[q] = op;
+      c *= factor;
+    }
+    out.add(pauli, c);
   }
 }
 
 }  // namespace
 
-PauliSum term_to_pauli(const ScbTerm& term) {
-  PauliSum sum(term.num_qubits());
-  expand_bare_packed(term, sum);
-  if (term.add_hc()) expand_bare_packed(term.adjoint(), sum);
-  sum.prune();
-  return sum;
-}
+ScbSum term_to_pauli(const ScbTerm& term) { return terms_to_pauli({term}); }
 
-PauliSum terms_to_pauli(const std::vector<ScbTerm>& terms) {
-  PauliSum sum;
+ScbSum terms_to_pauli(const std::vector<ScbTerm>& terms) {
+  ScbSum sum;
   for (const ScbTerm& t : terms) {
-    if (sum.num_qubits() == 0) sum = PauliSum(t.num_qubits());
-    expand_bare_packed(t, sum);
-    if (t.add_hc()) expand_bare_packed(t.adjoint(), sum);
+    add_expansion(t.ops(), t.coeff(), sum);
+    if (t.add_hc()) {
+      const ScbTerm adj = t.adjoint();
+      add_expansion(adj.ops(), adj.coeff(), sum);
+    }
   }
   sum.prune();
   return sum;
@@ -161,10 +116,6 @@ std::vector<ScbTerm> gather_hermitian(const std::vector<ScbTerm>& bare,
     out.emplace_back(coeff, word, true);
   }
   return out;
-}
-
-ScbTerm pauli_string_as_term(const PauliString& s, double coeff) {
-  return ScbTerm(coeff, s.ops(), false);
 }
 
 }  // namespace gecos

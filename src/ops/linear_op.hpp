@@ -1,6 +1,6 @@
 // LinearOperator: the one abstraction every statevector kernel sits behind.
 //
-// PauliSum, ScbSum and TermKernel act on a 2^n-amplitude statevector,
+// ScbSum and TermKernel act on a 2^n-amplitude statevector,
 // SectorOperator on the amplitudes of one U(1) sector; before this
 // interface each carried its own ad-hoc apply signature. A LinearOperator
 // exposes exactly one virtual hot path — apply_add(x, y, scale):

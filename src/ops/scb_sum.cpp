@@ -94,6 +94,13 @@ void ScbSum::add(const ScbTerm& term, double tol) {
 }
 
 void ScbSum::add(const ScbSum& o, double tol) {
+  if (&o == this) {
+    // Doubling erases a term stored below tol (added at a smaller tol), and
+    // erasing from the map being walked is undefined: walk a snapshot.
+    const ScbSum copy = o;
+    add(copy, tol);
+    return;
+  }
   for (const auto& [word, c] : o.terms_) add(word, c, tol);
 }
 
@@ -189,7 +196,7 @@ std::vector<ScbTerm> ScbSum::hermitian_terms(double tol) const {
   return gather_hermitian(bare_terms(), tol);
 }
 
-PauliSum ScbSum::to_pauli() const {
+ScbSum ScbSum::to_pauli() const {
   return terms_to_pauli(bare_terms());
 }
 

@@ -12,7 +12,12 @@
 //
 // Terms are bare products (no "+ h.c." flag): Hermiticity is represented
 // explicitly by the presence of the adjoint term. hermitian_terms() gathers
-// conjugate pairs back into "+ h.c." ScbTerms for the circuit builders.
+// conjugate pairs back into "+ h.c." ScbTerms, the form TrotterEvolver
+// exponentiates term by term.
+//
+// The Pauli basis {I, X, Y, Z} is part of the SCB, so the "usual strategy"
+// Pauli expansion (to_pauli) is an ScbSum too, one whose words hold only
+// I, X, Y and Z.
 #pragma once
 
 #include <map>
@@ -24,7 +29,6 @@
 
 #include "linalg/matrix.hpp"
 #include "ops/linear_op.hpp"
-#include "ops/pauli.hpp"
 #include "ops/scb.hpp"
 #include "ops/term.hpp"
 
@@ -44,8 +48,10 @@ struct ScbKernelCache {
 /// Sparse complex combination of bare SCB products, keyed by the operator
 /// word (qubit 0 first). A default-constructed sum adopts the qubit count of
 /// the first word added; all words must share it. Deterministic iteration
-/// (std::map over words); sizes stay polynomial for the workloads this layer
-/// targets, so no packed representation is needed.
+/// (std::map over words, lexicographic in Scb order). Words of any length
+/// add, multiply and adjoint; apply_add, to_matrix, to_pauli, bare_terms,
+/// hermitian_terms and str go through ScbTerm and so need at most 63
+/// qubits.
 class ScbSum : public LinearOperator {
  public:
   /// Empty sum; adopts the qubit count of the first word added.
@@ -111,10 +117,10 @@ class ScbSum : public LinearOperator {
   /// throws if the sum is not Hermitian.
   std::vector<ScbTerm> hermitian_terms(double tol = 1e-12) const;
 
-  /// Pauli expansion of the whole sum (2^k strings per term before
-  /// cross-term cancellation) — the "usual strategy" representation this
-  /// container exists to avoid.
-  PauliSum to_pauli() const;
+  /// Pauli expansion of the whole sum: an ScbSum over {I, X, Y, Z} words
+  /// (2^k words per term before cross-term cancellation) — the "usual
+  /// strategy" representation the direct composition avoids.
+  ScbSum to_pauli() const;
   /// Dense 2^n x 2^n matrix (verification only).
   Matrix to_matrix() const;
 

@@ -3,8 +3,8 @@
 // A term is  coeff * (C_{n-1} (x) ... (x) C_0)  with C_q in the SCB, plus
 // optionally its Hermitian conjugate ("+ h.c.", eq. (5) of the paper). This
 // is the central IR of GECOS: the direct strategy exponentiates one ScbTerm
-// exactly per Trotter slice, and the block-encoding builder maps one ScbTerm
-// to at most six unitaries.
+// exactly per Trotter slice (TermExp, evolve/trotter.hpp), and TermKernel
+// below applies its bare product to a statevector matrix-free.
 #pragma once
 
 #include <cstdint>
@@ -54,7 +54,7 @@ class ScbTerm {
   /// coeff*A.
   Matrix hamiltonian_matrix() const;
 
-  // -- structure queries used by the circuit builders ------------------------
+  // -- structure queries: which qubits hold which factor family -------------
 
   /// Qubits holding sigma/sigma^dagger (the transition family).
   std::vector<int> transition_qubits() const;
@@ -134,8 +134,8 @@ Matrix terms_matrix(const std::vector<ScbTerm>& terms, std::size_t num_qubits);
 void apply_terms(const std::vector<ScbTerm>& terms,
                  std::span<const cplx> x, std::span<cplx> y);
 
-/// Sum over terms of |coeff| * (1 + add_hc): an upper bound on the LCU
-/// normalization used by the block-encoding composition.
+/// Sum over terms of |coeff| * (1 + add_hc): an upper bound on the one-norm
+/// (LCU normalization) of the Hermitian sum.
 double terms_one_norm_bound(const std::vector<ScbTerm>& terms);
 
 }  // namespace gecos

@@ -58,7 +58,7 @@ Scheduler::Scheduler(SchedulerOptions opts) : opts_(std::move(opts)) {
     if (ec)
       throw Error(ErrorKind::io_corrupt,
                   "cannot create state dir " + opts_.state_dir);
-    if (opts_.resume_jobs) load_journals();
+    load_journals();
   }
   if (opts_.autostart) start();
 }

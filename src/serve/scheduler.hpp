@@ -50,10 +50,9 @@ namespace gecos::serve {
 /// Tuning knobs for a Scheduler.
 struct SchedulerOptions {
   /// Directory for job journals and solver checkpoints; empty disables
-  /// persistence entirely (jobs die with the process). Created if absent.
+  /// persistence entirely (jobs die with the process). Created if absent;
+  /// the constructor loads its journals and re-enqueues non-terminal jobs.
   std::string state_dir;
-  /// Scan state_dir at construction and re-enqueue non-terminal jobs.
-  bool resume_jobs = true;
   /// Start the executor thread immediately. false lets tests enqueue a
   /// deterministic backlog and then call start().
   bool autostart = true;

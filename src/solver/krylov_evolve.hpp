@@ -2,7 +2,7 @@
 //
 // The Trotter engine exploits the term structure of an ScbSum; this evolver
 // needs only the apply_add hot path, so it propagates ANY Hermitian
-// LinearOperator — PauliSum, ScbSum, SectorOperator — with spectral
+// LinearOperator — ScbSum, SectorOperator — with spectral
 // accuracy. One step projects H onto the Krylov space K_m(H, x) and applies
 // the small exponential exactly: x <- beta0 V_m exp(z T_m) e1 with
 // z = -i dt. The subspace is grown one matvec at a time until the

@@ -51,20 +51,6 @@ void canonicalize_word(const std::vector<Scb>& word, cplx coeff, ScbSum& out) {
 
 SectorOperator::SectorOperator(SectorBasis basis, const ScbSum& h)
     : basis_(std::move(basis)) {
-  compile(h);
-}
-
-SectorOperator::SectorOperator(SectorBasis basis, const PauliSum& h)
-    : basis_(std::move(basis)) {
-  // Pauli strings are SCB words already ({I,X,Y,Z} is a subset of the
-  // basis); route through an ScbSum so both constructors share the
-  // canonicalization and the kernel compiler.
-  ScbSum s(h.num_qubits());
-  for (const auto& [str, coeff] : h.sorted_terms()) s.add(str.ops(), coeff);
-  compile(s);
-}
-
-void SectorOperator::compile(const ScbSum& h) {
   if (h.empty())
     throw std::invalid_argument("SectorOperator: empty operator sum");
   if (h.num_qubits() != basis_.n_qubits())

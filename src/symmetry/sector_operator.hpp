@@ -1,10 +1,11 @@
 // SectorOperator: a number-conserving Hamiltonian restricted to a sector.
 //
-// Takes a symbolic sum (ScbSum or PauliSum) that commutes with every species
-// number operator of a SectorBasis and applies it matrix-free *within* the
-// sector: the LinearOperator dim() is the sector dimension, so Lanczos,
-// KrylovEvolver and the imaginary-time projector run on sector vectors
-// unchanged — same interface, exponentially fewer amplitudes.
+// Takes a symbolic ScbSum (Pauli-word sums included) that commutes with
+// every species number operator of a SectorBasis and applies it
+// matrix-free *within* the sector: the LinearOperator dim() is the sector
+// dimension, so Lanczos, KrylovEvolver and the spectral estimators run on
+// sector vectors unchanged — same interface, exponentially fewer
+// amplitudes.
 //
 // Construction first rewrites the sum into *transition-canonical* form:
 // every X/Y factor branches into the transition family (X = s + s+,
@@ -46,7 +47,6 @@
 #include <vector>
 
 #include "ops/linear_op.hpp"
-#include "ops/pauli.hpp"
 #include "ops/scb_sum.hpp"
 #include "symmetry/sector_basis.hpp"
 
@@ -63,8 +63,6 @@ class SectorOperator : public LinearOperator {
   /// Error{dim_mismatch} when the sector dimension exceeds the uint32 rank
   /// range of the row entries.
   SectorOperator(SectorBasis basis, const ScbSum& h);
-  /// Same, from a Pauli-string sum (each string is an SCB word already).
-  SectorOperator(SectorBasis basis, const PauliSum& h);
 
   /// The sector enumeration this operator is restricted to.
   const SectorBasis& basis() const { return basis_; }
@@ -96,10 +94,6 @@ class SectorOperator : public LinearOperator {
     std::uint32_t col;
     std::uint32_t coeff;
   };
-
-  /// Shared constructor body: canonicalization + conservation check +
-  /// compilation of the diagonal and the rows.
-  void compile(const ScbSum& h);
 
   SectorBasis basis_;
   std::size_t num_kernels_ = 0;

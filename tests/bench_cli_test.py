@@ -30,7 +30,7 @@ import time
 # The suite, in run order.
 ENTRIES = [
     "term_expansion", "pauli_sum_product", "stream_triad", "scb_apply",
-    "pauli_sum_apply", "dense_matmul", "dense_expm", "fermion_hubbard_1d",
+    "dense_matmul", "dense_expm", "fermion_hubbard_1d",
     "fermion_hubbard_2d_spinful", "fermion_molecular",
     "fermion_density_string", "fermion_apply_xcheck", "parallel_apply",
     "hubbard_quench", "sector_xcheck", "sector_ground_state",

@@ -1,13 +1,11 @@
-// SCB -> Pauli conversion: the iterative packed mask expansion must match
-// the retained recursive map-based reference term-for-term, produce exactly
-// pauli_expansion_count strings for bare products, and reproduce the dense
-// Hamiltonian on small systems.
+// SCB -> Pauli conversion: the expansion is an ScbSum over {I, X, Y, Z}
+// words, has exactly pauli_expansion_count words for bare products, and
+// reproduces the dense Hamiltonian on small systems, across terms too.
 #include "ops/conversion.hpp"
 
 #include <random>
 #include <stdexcept>
 
-#include "ops/pauli_ref.hpp"
 #include "test_util.hpp"
 
 using namespace gecos;
@@ -22,40 +20,27 @@ ScbTerm random_term(std::size_t n, std::mt19937& rng, bool add_hc) {
   return ScbTerm(cplx(c(rng), c(rng)), std::move(ops), add_hc);
 }
 
+bool pauli_words_only(const ScbSum& s) {
+  for (const auto& [word, c] : s.terms())
+    for (Scb op : word)
+      if (op != Scb::I && !scb_is_pauli(op)) return false;
+  return true;
+}
+
 }  // namespace
 
 int main() {
   std::mt19937 rng(42);
 
-  // Bare products: expansion count is exactly 2^k and every emitted
-  // coefficient matches the legacy recursion bitwise (both paths only ever
-  // scale by powers of two and exact units).
+  // Bare products: the expansion has exactly 2^k words, all over
+  // {I, X, Y, Z}.
   for (int it = 0; it < 200; ++it) {
     const std::size_t n = 1 + static_cast<std::size_t>(rng() % 12);
     const ScbTerm t = random_term(n, rng, false);
-    const PauliSum packed = term_to_pauli(t);
-    const RefPauliSum ref = ref_term_to_pauli(t);
-    CHECK_EQ(packed.size(), pauli_expansion_count(t));
-    CHECK_EQ(packed.size(), ref.size());
-    const auto sorted = packed.sorted_terms();
-    std::size_t i = 0;
-    for (const auto& [rs, rc] : ref.terms()) {
-      CHECK(i < sorted.size() && sorted[i].first == rs);
-      if (i < sorted.size()) CHECK(sorted[i].second == rc);
-      ++i;
-    }
-  }
-
-  // With h.c.: agreement with the reference (counts can shrink through
-  // cancellation, so compare against the reference rather than 2^k).
-  for (int it = 0; it < 100; ++it) {
-    const std::size_t n = 1 + static_cast<std::size_t>(rng() % 10);
-    const ScbTerm t = random_term(n, rng, true);
-    const PauliSum packed = term_to_pauli(t);
-    const RefPauliSum ref = ref_term_to_pauli(t);
-    CHECK_EQ(packed.size(), ref.size());
-    for (const auto& [rs, rc] : ref.terms())
-      CHECK_NEAR(packed.coeff_of(rs) - rc, 0.0, 1e-14);
+    const ScbSum s = term_to_pauli(t);
+    CHECK_EQ(s.size(), pauli_expansion_count(t));
+    CHECK_EQ(s.num_qubits(), n);
+    CHECK(pauli_words_only(s));
   }
 
   // Dense verification on small systems, including the h.c. part.
@@ -63,30 +48,28 @@ int main() {
     const std::size_t n = 1 + static_cast<std::size_t>(rng() % 5);
     const ScbTerm t = random_term(n, rng, it % 2 == 0);
     const Matrix expect = t.hamiltonian_matrix();
-    CHECK_NEAR(term_to_pauli(t).to_matrix(n).max_abs_diff(expect), 0.0, 1e-12);
+    CHECK_NEAR(term_to_pauli(t).to_matrix().max_abs_diff(expect), 0.0, 1e-12);
   }
 
   // Multi-term expansion with cross-term cancellation: n + m = I means
-  // terms_to_pauli({n, m}) collapses to the identity string.
+  // terms_to_pauli({n, m}) collapses to the identity word.
   {
     const ScbTerm tn(1.0, {Scb::N, Scb::I}, false);
     const ScbTerm tm(1.0, {Scb::M, Scb::I}, false);
-    const PauliSum s = terms_to_pauli({tn, tm});
+    const ScbSum s = terms_to_pauli({tn, tm});
     CHECK_EQ(s.size(), std::size_t{1});
-    CHECK_NEAR(s.coeff_of(PauliString::parse("II")) - cplx(1.0), 0.0, 1e-15);
+    CHECK_NEAR(s.coeff_of({Scb::I, Scb::I}) - cplx(1.0), 0.0, 1e-15);
   }
   for (int it = 0; it < 30; ++it) {
-    const std::size_t n = 1 + static_cast<std::size_t>(rng() % 8);
+    const std::size_t n = 1 + static_cast<std::size_t>(rng() % 5);
     std::vector<ScbTerm> terms;
     for (int j = 0; j < 4; ++j) terms.push_back(random_term(n, rng, j % 2 == 0));
-    const PauliSum packed = terms_to_pauli(terms);
-    const RefPauliSum ref = ref_terms_to_pauli(terms);
-    CHECK_EQ(packed.size(), ref.size());
-    for (const auto& [rs, rc] : ref.terms())
-      CHECK_NEAR(packed.coeff_of(rs) - rc, 0.0, 1e-13);
+    const ScbSum s = terms_to_pauli(terms);
+    CHECK(pauli_words_only(s));
+    CHECK_NEAR(s.to_matrix().max_abs_diff(terms_matrix(terms, n)), 0.0, 1e-12);
   }
 
-  // An unexpandable term (2^63 strings) is a clean error, not shift UB.
+  // An unexpandable term (2^63 words) is a clean error, not shift UB.
   {
     bool threw = false;
     try {
@@ -99,11 +82,10 @@ int main() {
 
   // The sigma^dagger sigma ladder: s+ on one qubit expands to (X - iY)/2.
   {
-    const PauliSum s = term_to_pauli(ScbTerm(1.0, {Scb::Sp}, false));
+    const ScbSum s = term_to_pauli(ScbTerm(1.0, {Scb::Sp}, false));
     CHECK_EQ(s.size(), std::size_t{2});
-    CHECK_NEAR(s.coeff_of(PauliString::parse("X")) - cplx(0.5), 0.0, 1e-15);
-    CHECK_NEAR(s.coeff_of(PauliString::parse("Y")) - cplx(0.0, -0.5), 0.0,
-               1e-15);
+    CHECK_NEAR(s.coeff_of({Scb::X}) - cplx(0.5), 0.0, 1e-15);
+    CHECK_NEAR(s.coeff_of({Scb::Y}) - cplx(0.0, -0.5), 0.0, 1e-15);
   }
 
   // gather_hermitian pairs conjugate products and preserves the matrix.
@@ -119,15 +101,6 @@ int main() {
     Matrix expect(std::size_t{1} << n, std::size_t{1} << n);
     for (const ScbTerm& t : bare) expect += t.bare_matrix();
     CHECK_NEAR(terms_matrix(gathered, n).max_abs_diff(expect), 0.0, 1e-12);
-  }
-
-  // pauli_string_as_term embeds a string as a Hermitian bare product.
-  {
-    const PauliString p = PauliString::parse("XZY");
-    const ScbTerm t = pauli_string_as_term(p, 0.75);
-    CHECK(t.is_valid_hamiltonian());
-    CHECK_NEAR(t.hamiltonian_matrix().max_abs_diff(p.to_matrix() * cplx(0.75)),
-               0.0, 1e-14);
   }
 
   return gecos::test::finish("test_conversion");

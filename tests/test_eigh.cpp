@@ -16,7 +16,6 @@
 #include "linalg/expm.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/sym_eig.hpp"
-#include "ops/pauli.hpp"
 #include "ops/scb_sum.hpp"
 #include "test_util.hpp"
 
@@ -51,8 +50,7 @@ int main() {
         {Scb::Y, Scb::Z, Scb::X},
     };
     for (const auto& w : words) {
-      const PauliString s{std::vector<Scb>(w)};
-      const Matrix m = s.to_matrix();
+      const Matrix m = ScbTerm(1.0, w, false).bare_matrix();
       const EigenSystem es = eigh(m);
       const std::size_t dim = m.rows();
       for (std::size_t i = 0; i < dim; ++i) {

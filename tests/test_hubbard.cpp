@@ -70,7 +70,7 @@ int main() {
     p.mu = 0.5;
     p.periodic_x = true;
     const ScbSum scb = hubbard_scb(p);
-    CHECK_NEAR(scb.to_pauli().to_matrix(10).max_abs_diff(scb.to_matrix()), 0.0,
+    CHECK_NEAR(scb.to_pauli().to_matrix().max_abs_diff(scb.to_matrix()), 0.0,
                1e-11);
 
     HubbardParams q;
@@ -80,7 +80,7 @@ int main() {
     q.u = 3.0;
     q.mu = 0.25;
     const ScbSum scbq = hubbard_scb(q);
-    CHECK_NEAR(scbq.to_pauli().to_matrix(8).max_abs_diff(scbq.to_matrix()),
+    CHECK_NEAR(scbq.to_pauli().to_matrix().max_abs_diff(scbq.to_matrix()),
                0.0, 1e-12);
   }
 
@@ -94,7 +94,7 @@ int main() {
     p.mu = 0.3;
     p.periodic_x = true;
     const ScbSum scb = hubbard_scb(p);
-    const PauliSum pauli = scb.to_pauli();
+    const ScbSum pauli = scb.to_pauli();
     const std::size_t dim = std::size_t{1} << 18;
     const std::vector<cplx> x = random_state(dim, rng);
     std::vector<cplx> ys(dim, cplx(0.0)), yp(dim, cplx(0.0));
@@ -132,7 +132,7 @@ int main() {
     CHECK(scb.is_hermitian());
     CHECK(scb.to_matrix().is_hermitian(1e-12));
     CHECK(scb.size() <= mol.size());
-    CHECK_NEAR(scb.to_pauli().to_matrix(5).max_abs_diff(scb.to_matrix()), 0.0,
+    CHECK_NEAR(scb.to_pauli().to_matrix().max_abs_diff(scb.to_matrix()), 0.0,
                1e-12);
     const FermionSum again = random_two_body(5, 4, 6, 99);
     CHECK_EQ(again.str(), mol.str());

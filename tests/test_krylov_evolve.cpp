@@ -1,7 +1,7 @@
 // Krylov expm_multiply suite: propagation against dense exp(-i t H) at
 // n <= 8, unitarity, adaptive step splitting, Trotter and Krylov against
 // the same dense propagator, general exp(z H) application, operator
-// representation independence (ScbSum vs PauliSum), and the zero-allocation
+// representation independence (ScbSum vs its Pauli expansion), and the zero-allocation
 // pin after warm-up.
 #include "alloc_probe.hpp"  // first: replaces global operator new
 // clang-format off
@@ -15,7 +15,6 @@
 #include "fermion/hubbard.hpp"
 #include "linalg/blas1.hpp"
 #include "linalg/expm.hpp"
-#include "ops/pauli.hpp"
 #include "ops/scb_sum.hpp"
 #include "solver/krylov_evolve.hpp"
 #include "test_util.hpp"
@@ -116,13 +115,13 @@ int main() {
     CHECK_NEAR(vec_max_abs_diff(xk, ref), 0.0, 1e-10);  // Krylov tol
   }
 
-  // -- PauliSum backend: the evolver is operator-representation-agnostic ---
+  // -- Pauli expansion: the evolver is operator-representation-agnostic ----
   {
     HubbardParams p;
     p.lx = 5;
     p.u = 2.0;
     const ScbSum h = hubbard_scb(p);
-    const PauliSum hp = h.to_pauli();
+    const ScbSum hp = h.to_pauli();
     const std::vector<cplx> x0 = random_state(32, rng);
     std::vector<cplx> xs = x0, xp = x0;
     KrylovEvolver es(h), ep(hp);

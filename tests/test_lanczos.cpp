@@ -1,7 +1,7 @@
 // Lanczos eigensolver suite: k lowest eigenpairs against dense eigh on
 // Hubbard lattices up to n = 10, Ritz-vector residuals and orthonormality,
 // reorthogonalization-policy agreement, operator-interface genericity
-// (ScbSum / PauliSum / a diagonal operator), restart and deflation paths,
+// (ScbSum / its Pauli expansion / a diagonal operator), restart and deflation paths,
 // the constructor and ritz_vector() error paths, and the
 // zero-allocation-after-warm-up pin via the operator-new probe.
 #include "alloc_probe.hpp"  // first: replaces global operator new
@@ -177,7 +177,7 @@ int main() {
     }
   }
 
-  // -- interface genericity: the same spectrum through the PauliSum backend -
+  // -- interface genericity: the same spectrum through the Pauli expansion --
   {
     HubbardParams p;
     p.lx = 4;
@@ -189,7 +189,7 @@ int main() {
     lo.tol = 1e-11;
     const double e_scb = Lanczos(h, lo).solve().eigenvalues[0];
 
-    const PauliSum hp = h.to_pauli();
+    const ScbSum hp = h.to_pauli();
     CHECK_NEAR(Lanczos(hp, lo).solve().eigenvalues[0], e_scb, 1e-10);
   }
 

@@ -77,7 +77,7 @@ int main() {
     p.mu = 0.4;
     p.periodic_x = true;
     const ScbSum h = hubbard_scb(p);
-    const PauliSum hp = h.to_pauli();
+    const ScbSum hp = h.to_pauli();
     const StateVector x = StateVector::random(12, 8);
 
     set_num_threads(1);

@@ -1,213 +1,96 @@
-// PauliSum (packed flat-hash engine) vs RefPauliSum (legacy ordered map):
-// identical algebra on randomized workloads, including the multi-word
-// (> 64 qubit) key path, plus the matrix-free statevector apply.
+// Pauli sums: ScbSums whose words hold only I, X, Y and Z (the Pauli
+// expansion's form). Their algebra up to 96 qubits (squares, adjoint of a
+// product), dense agreement of products and of the matrix-free apply,
+// self-add doubling and the mixed-qubit-count errors.
 #include "linalg/blas1.hpp"
-#include "ops/pauli.hpp"
+#include "ops/scb_sum.hpp"
 
+#include <algorithm>
+#include <array>
 #include <random>
 #include <stdexcept>
 
-#include "ops/pauli_ref.hpp"
 #include "test_util.hpp"
 
 using namespace gecos;
 
 namespace {
 
-PauliString random_string(std::size_t n, std::mt19937& rng) {
-  static const std::array<Scb, 4> t = {Scb::I, Scb::X, Scb::Y, Scb::Z};
-  std::vector<Scb> ops(n);
-  for (auto& o : ops) o = t[rng() % 4];
-  return PauliString(std::move(ops));
+/// Sum of `terms` uniformly random words over {I, X, Y, Z} (duplicates
+/// merge); real coefficients when `real`, else complex.
+ScbSum random_pauli_sum(std::size_t n, std::size_t terms, bool real,
+                        std::mt19937& rng) {
+  static const std::array<Scb, 4> paulis = {Scb::I, Scb::X, Scb::Y, Scb::Z};
+  std::uniform_real_distribution<double> c(-1.0, 1.0);
+  ScbSum s(n);
+  for (std::size_t t = 0; t < terms; ++t) {
+    std::vector<Scb> word(n);
+    for (auto& o : word) o = paulis[rng() % 4];
+    const double re = c(rng);
+    s.add(word, real ? cplx(re) : cplx(re, c(rng)));
+  }
+  return s;
 }
 
-void check_same(const PauliSum& packed, const RefPauliSum& ref, double tol) {
-  CHECK_EQ(packed.size(), ref.size());
-  const auto sorted = packed.sorted_terms();
-  std::size_t i = 0;
-  for (const auto& [rs, rc] : ref.terms()) {
-    if (i >= sorted.size()) break;
-    CHECK(sorted[i].first == rs);
-    CHECK_NEAR(sorted[i].second - rc, 0.0, tol);
-    ++i;
-  }
+/// Largest coefficient difference over the words of either sum.
+double max_coeff_diff(const ScbSum& a, const ScbSum& b) {
+  double d = 0;
+  for (const auto& [w, c] : a.terms())
+    d = std::max(d, std::abs(c - b.coeff_of(w)));
+  for (const auto& [w, c] : b.terms())
+    d = std::max(d, std::abs(c - a.coeff_of(w)));
+  return d;
+}
+
+/// Sum of |c|^2 over the stored coefficients.
+double coeff_norm2(const ScbSum& s) {
+  double n2 = 0;
+  for (const auto& [w, c] : s.terms()) n2 += std::norm(c);
+  return n2;
 }
 
 }  // namespace
 
 int main() {
   std::mt19937 rng(7);
-  std::uniform_real_distribution<double> cd(-1.0, 1.0);
 
-  // Accumulation with duplicates and cancellations mirrors the map.
-  for (std::size_t n : {std::size_t{3}, std::size_t{8}, std::size_t{96}}) {
-    PauliSum a(n);
-    RefPauliSum r;
-    std::vector<PauliString> pool;
-    for (int j = 0; j < 40; ++j) pool.push_back(random_string(n, rng));
-    for (int j = 0; j < 400; ++j) {
-      const PauliString& s = pool[rng() % pool.size()];
-      const cplx c(cd(rng), cd(rng));
-      a.add(s, c);
-      r.add(s, c);
-    }
-    // Exact cancellation of one live key.
-    const PauliString victim = pool[0];
-    const cplx vc = a.coeff_of(victim);
-    if (vc != cplx(0.0)) {
-      a.add(victim, -vc);
-      r.add(victim, -vc);
-    }
-    check_same(a, r, 1e-12);
-    CHECK_NEAR(a.one_norm() - r.one_norm(), 0.0, 1e-10);
-    CHECK_EQ(a.str(), r.str());
-
-    // Re-adding a cancelled key revives its slot.
-    a.add(victim, cplx(0.25));
-    r.add(victim, cplx(0.25));
-    check_same(a, r, 1e-12);
-
-    // Product agreement (the tentpole hot path).
-    PauliSum b(n);
-    RefPauliSum rb;
-    for (int j = 0; j < 25; ++j) {
-      const PauliString s = random_string(n, rng);
-      const cplx c(cd(rng), cd(rng));
-      b.add(s, c);
-      rb.add(s, c);
-    }
-    check_same(a * b, r * rb, 1e-10);
-    check_same(a + b, r + rb, 1e-12);
-    check_same(a * cplx(0.5, -2.0), r * cplx(0.5, -2.0), 1e-12);
-
-    // prune drops small terms like the map erase did.
-    PauliSum ap = a;
-    RefPauliSum rp = r;
-    ap.add(random_string(n, rng), cplx(1e-13));
-    rp.add(random_string(n, rng), cplx(1e-13));
-    ap.prune(1e-12);
-    rp.prune(1e-12);
-    CHECK_EQ(ap.size(), rp.size());
-  }
-
-  // Mixed qubit counts are a runtime error (not UB) even in Release builds.
-  {
-    PauliSum a(3), b(4);
-    a.add(PauliString::parse("XYZ"), cplx(1.0));
-    b.add(PauliString::parse("ZZII"), cplx(1.0));
-    bool threw = false;
-    try {
-      a.add(PauliString::parse("XX"), cplx(1.0));
-    } catch (const std::invalid_argument&) {
-      threw = true;
-    }
-    CHECK(threw);
-    threw = false;
-    try {
-      (void)(a * b);
-    } catch (const std::invalid_argument&) {
-      threw = true;
-    }
-    CHECK(threw);
-    threw = false;
-    std::vector<cplx> x(4), y(4);
-    try {
-      a.apply(x, y);  // dim 4 != 2^3
-    } catch (const std::invalid_argument&) {
-      threw = true;
-    }
-    CHECK(threw);
-  }
-
-  // reserve() before the first add must not lock in a zero qubit count, and
-  // a default-constructed (zero-operator) sum applies as a no-op.
-  {
-    PauliSum s;
-    s.reserve(8);
-    s.add(PauliString::parse("XZ"), cplx(1.0));
-    CHECK_EQ(s.num_qubits(), std::size_t{2});
-    CHECK_NEAR(s.coeff_of(PauliString::parse("XZ")) - cplx(1.0), 0.0, 0.0);
-    PauliSum scaled = PauliSum{} * cplx(2.0);
-    scaled.add(PauliString::parse("Y"), cplx(1.0));
-    CHECK_EQ(scaled.size(), std::size_t{1});
-    const PauliSum zero;
-    std::vector<cplx> x(8, cplx(1.0)), y(8, cplx(0.5));
-    zero.apply_add(x, y);  // no-op, any dimension
-    CHECK_NEAR(y[0] - cplx(0.5), 0.0, 0.0);
-  }
-
-  // A zero-qubit (scalar) term is kept, and widening past it throws instead
-  // of silently dropping it.
-  {
-    PauliSum s;
-    s.add(PauliString(std::vector<Scb>{}), cplx(2.0));
-    CHECK_EQ(s.size(), std::size_t{1});
-    bool threw = false;
-    try {
-      s.add(PauliString::parse("X"), cplx(3.0));
-    } catch (const std::invalid_argument&) {
-      threw = true;
-    }
-    CHECK(threw);
-    CHECK_NEAR(s.one_norm() - 2.0, 0.0, 0.0);
-  }
-
-  // Self-add (doubling) must walk a snapshot, not the table being mutated.
-  {
-    const std::size_t n = 10;
-    PauliSum a(n);
-    RefPauliSum r;
-    // Enough inserts that a mid-iteration rehash would trigger without the
-    // aliasing guard.
-    for (int j = 0; j < 300; ++j) {
-      const PauliString s = random_string(n, rng);
-      const cplx c(cd(rng), cd(rng));
-      a.add(s, c);
-      r.add(s, c);
-    }
-    a.add(a);
-    r.add(r);  // std::map self-add is safe: keys already exist
-    check_same(a, r, 1e-12);
-  }
-
-  // Pauli self-product: A*A for a real combination is Hermitian with the
-  // identity coefficient equal to sum |c|^2.
-  {
-    const std::size_t n = 6;
-    PauliSum a(n);
-    double norm2 = 0;
-    for (int j = 0; j < 30; ++j) {
-      const double c = cd(rng);
-      const PauliString s = random_string(n, rng);
-      const cplx before = a.coeff_of(s);
-      a.add(s, c);
-      norm2 += std::norm(before + c) - std::norm(before);
-    }
-    const PauliSum sq = a * a;
+  // The square of a real combination is Hermitian with identity
+  // coefficient sum c^2 (every word squares to I; distinct words either
+  // anticommute and cancel or multiply to a non-identity word).
+  for (std::size_t n : {std::size_t{6}, std::size_t{96}}) {
+    const ScbSum a = random_pauli_sum(n, 30, true, rng);
+    const ScbSum sq = a * a;
     CHECK(sq.is_hermitian(1e-10));
-    CHECK_NEAR(sq.coeff_of(PauliString(std::vector<Scb>(n, Scb::I))) -
-                   cplx(norm2),
+    CHECK_NEAR(sq.coeff_of(std::vector<Scb>(n, Scb::I)) - cplx(coeff_norm2(a)),
                0.0, 1e-10);
   }
 
-  // Dense agreement and the matrix-free apply.
-  for (int it = 0; it < 20; ++it) {
-    const std::size_t n = 2 + it % 4;
-    const std::size_t dim = std::size_t{1} << n;
-    PauliSum a(n);
-    RefPauliSum r;
-    for (int j = 0; j < 12; ++j) {
-      const PauliString s = random_string(n, rng);
-      const cplx c(cd(rng), cd(rng));
-      a.add(s, c);
-      r.add(s, c);
-    }
-    CHECK_NEAR(a.to_matrix(n).max_abs_diff(r.to_matrix(n)), 0.0, 1e-12);
+  // Above 64 qubits the product still obeys (AB)† = B†A†.
+  {
+    const std::size_t n = 96;
+    const ScbSum a = random_pauli_sum(n, 40, false, rng);
+    const ScbSum b = random_pauli_sum(n, 25, false, rng);
+    const ScbSum ab = a * b;
+    CHECK(!ab.empty());
+    CHECK_EQ(ab.num_qubits(), n);
+    CHECK_NEAR(max_coeff_diff(ab.adjoint(), b.adjoint() * a.adjoint()), 0.0,
+               1e-12);
+  }
 
-    std::vector<cplx> x = random_state(dim, rng);
+  // Against dense: the product (Pauli phases such as
+  // XY = iZ) and the matrix-free apply / apply_add.
+  for (int it = 0; it < 20; ++it) {
+    const std::size_t n = 2 + static_cast<std::size_t>(it % 4);
+    const std::size_t dim = std::size_t{1} << n;
+    const ScbSum a = random_pauli_sum(n, 12, false, rng);
+    const ScbSum b = random_pauli_sum(n, 12, false, rng);
+    CHECK_NEAR((a * b).to_matrix().max_abs_diff(a.to_matrix() * b.to_matrix()),
+               0.0, 1e-12);
+
+    const std::vector<cplx> x = random_state(dim, rng);
     std::vector<cplx> y(dim, cplx(0.0));
     a.apply(x, y);
-    const std::vector<cplx> expect = a.to_matrix(n).apply(x);
+    const std::vector<cplx> expect = a.to_matrix().apply(x);
     CHECK_NEAR(vec_max_abs_diff(y, expect), 0.0, 1e-12);
 
     // apply_add accumulates: a second call doubles the result.
@@ -216,37 +99,47 @@ int main() {
     CHECK_NEAR(vec_max_abs_diff(y, expect), 0.0, 1e-12);
   }
 
-  // pauli_decompose of a matrix built from a PauliSum roundtrips.
+  // Mixed qubit counts are a runtime error (not UB) even in Release builds,
+  // and a default-constructed (zero-operator) sum applies as a no-op.
   {
-    const std::size_t n = 3;
-    PauliSum a(n);
-    for (int j = 0; j < 6; ++j) a.add(random_string(n, rng), cplx(cd(rng)));
-    const PauliSum back = pauli_decompose(a.to_matrix(n), n);
-    CHECK_EQ(back.size(), a.size());
-    for (const auto& [s, c] : a.sorted_terms())
-      CHECK_NEAR(back.coeff_of(s) - c, 0.0, 1e-10);
+    ScbSum a(3), b(4);
+    a.add({Scb::X, Scb::Y, Scb::Z}, 1.0);
+    b.add({Scb::Z, Scb::Z, Scb::I, Scb::I}, 1.0);
+    const auto throws = [](const auto& f) {
+      try {
+        f();
+      } catch (const std::invalid_argument&) {
+        return true;
+      }
+      return false;
+    };
+    CHECK(throws([&] { a.add({Scb::X, Scb::X}, 1.0); }));
+    CHECK(throws([&] { (void)(a * b); }));
+    std::vector<cplx> x(4), y(4);
+    CHECK(throws([&] { a.apply(x, y); }));  // dim 4 != 2^3
+
+    const ScbSum zero;
+    std::vector<cplx> xz(8, cplx(1.0)), yz(8, cplx(0.5));
+    zero.apply_add(xz, yz);
+    CHECK_NEAR(yz[0] - cplx(0.5), 0.0, 0.0);
   }
 
-  // Heavy insert/erase churn keeps the table consistent (rehash + dead-slot
-  // reclamation paths).
+  // Adding a sum to itself doubles every coefficient; a term stored below
+  // the add tolerance stays below it when doubled and is dropped (not
+  // walked after its erase).
   {
-    const std::size_t n = 16;
-    PauliSum a(n);
-    RefPauliSum r;
-    std::vector<PauliString> pool;
-    for (int j = 0; j < 2000; ++j) pool.push_back(random_string(n, rng));
-    for (const auto& s : pool) {
-      a.add(s, cplx(1.0));
-      r.add(s, cplx(1.0));
-    }
-    for (std::size_t j = 0; j < pool.size(); j += 2) {
-      a.add(pool[j], cplx(-1.0));
-      r.add(pool[j], cplx(-1.0));
-    }
-    check_same(a, r, 1e-12);
-    a.prune();
-    r.prune();
-    check_same(a, r, 1e-12);
+    const ScbSum a = random_pauli_sum(10, 300, false, rng);
+    ScbSum d = a;
+    d.add(d);
+    CHECK_EQ(d.size(), a.size());
+    CHECK_NEAR(max_coeff_diff(d, a * cplx(2.0)), 0.0, 0.0);
+
+    ScbSum tiny(1);
+    tiny.add({Scb::X}, 1.0);
+    tiny.add({Scb::Z}, 1e-15, 0.0);  // kept at tol 0
+    tiny.add(tiny);                  // 2e-15 <= the default 1e-14
+    CHECK_EQ(tiny.size(), std::size_t{1});
+    CHECK_NEAR(tiny.coeff_of({Scb::X}) - cplx(2.0), 0.0, 0.0);
   }
 
   return gecos::test::finish("test_pauli_sum");

@@ -3,7 +3,7 @@
 // lattices and ad-hoc conserving sums, the per-term classification paths
 // (diagonal, hop, filtered XX+YY, statically dead), the symbolic
 // conservation rejection, the uint32 sector-dimension limit,
-// PauliSum-vs-ScbSum construction agreement, a molecular-like sum with many
+// Pauli-expansion-vs-SCB construction agreement, a molecular-like sum with many
 // distinct coefficients, embed/project round trips, bitwise thread-count
 // determinism, and the zero-allocation pin on warm sector matvecs.
 #include "alloc_probe.hpp"  // first: replaces global operator new
@@ -147,7 +147,7 @@ int main() {
     CHECK_EQ(op.num_kernels(), std::size_t{3});  // n, s+ s, and its adjoint
   }
 
-  // -- PauliSum construction path agrees with ScbSum -------------------------
+  // -- the Pauli expansion (X/Y words, canonicalized) agrees with the SCB sum -
   {
     HubbardParams p;
     p.lx = 4;

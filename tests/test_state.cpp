@@ -1,12 +1,11 @@
 // StateVector layer and the unified LinearOperator interface: construction,
 // norms and inner products, expectation values against dense quadratic
 // forms, in-place apply through the scratch path, and interface conformance
-// of the concrete operators (PauliSum, ScbSum, TermKernel).
+// of the concrete operators (ScbSum, its Pauli expansion, TermKernel).
 #include <random>
 #include <vector>
 
 #include "linalg/blas1.hpp"
-#include "ops/pauli.hpp"
 #include "ops/scb_sum.hpp"
 #include "ops/term.hpp"
 #include "state/state_vector.hpp"
@@ -84,7 +83,7 @@ int main() {
   for (int it = 0; it < 10; ++it) {
     const std::size_t n = 2 + it % 3;
     const ScbSum s = random_hermitian_sum(n, 4, rng);
-    const PauliSum ps = s.to_pauli();
+    const ScbSum ps = s.to_pauli();
     const Matrix m = s.to_matrix();
     const StateVector x = StateVector::random(n, 1000 + it);
     const cplx es = x.expectation(s);

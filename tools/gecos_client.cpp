@@ -13,7 +13,7 @@
 //
 // Spec flags for submit (defaults in serve::JobSpec):
 //   --kind ground|quench|expectation|spectral
-//   --lx N --ly N --t V --u V --mu V [--open-x] [--spinless]
+//   --lx N --ly N --t V --u V --mu V [--periodic-x] [--spinful]
 //   --n-up N --n-down N           ground-state sector counts
 //   --k N --tol V --max-matvecs N --seed N --checkpoint-interval N
 //   --dt V --steps N --occupation N (decimal bitmask)
@@ -161,10 +161,10 @@ bool parse_submit(int argc, char** argv, int& i, JobSpec& spec) {
       else if (kind == "expectation") spec.kind = JobKind::kExpectation;
       else if (kind == "spectral") spec.kind = JobKind::kSpectral;
       else ok = bad_value(f, k, "ground, quench, expectation or spectral");
-    } else if (flag == "--open-x") {
-      spec.lattice.periodic_x = false;
-    } else if (flag == "--spinless") {
-      spec.lattice.spinful = false;
+    } else if (flag == "--periodic-x") {
+      spec.lattice.periodic_x = true;
+    } else if (flag == "--spinful") {
+      spec.lattice.spinful = true;
     } else if (flag == "--obs") {
       const char* text = next();
       ObservableSpec o;
